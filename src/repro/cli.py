@@ -86,7 +86,6 @@ from repro.obs.analyze import (
     render_analysis,
     render_metro_health,
 )
-from repro.core.batch import batch_bai_mode
 from repro.sim import kernel_mode
 from repro.workload.scenarios import (
     build_cell_scenario,
@@ -397,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the pure-object TTI loop instead of "
                              "the vectorized kernel (equivalent to "
                              "REPRO_KERNEL=0; workers inherit it)")
-    parser.add_argument("--no-batch-bai", action="store_true",
-                        help="run the per-cell scalar BAI controller "
-                             "instead of the batched multi-cell sweep "
-                             "(equivalent to REPRO_BATCH_BAI=0; "
-                             "workers inherit it)")
     return parser
 
 
@@ -438,8 +432,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     kernel_context = (kernel_mode(False) if args.no_kernel
                       else nullcontext())
-    batch_bai_context = (batch_bai_mode(False) if args.no_batch_bai
-                         else nullcontext())
     scale_context = full_mode(True) if args.full else nullcontext()
     check_context = chk.checked_run() if args.check else nullcontext()
     # The trace command installs its own tracer; --trace covers the rest.
@@ -451,16 +443,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "profile" else nullcontext())
     telemetry_context = (obs_telemetry.collecting() if args.telemetry
                          else nullcontext())
-    with kernel_context, batch_bai_context, scale_context, \
-            check_context, trace_context, \
+    with kernel_context, scale_context, check_context, trace_context, \
             execution_defaults(jobs=args.jobs,
                                use_cache=not args.no_cache):
         with profile_context as profiler, \
                 telemetry_context as collector:
             with measure(args.command, command=args.command,
                          full_scale=is_full_run(),
-                         kernel=not args.no_kernel,
-                         batch_bai=not args.no_batch_bai) as record:
+                         kernel=not args.no_kernel) as record:
                 status = _dispatch(args, record)
         if profiler is not None:
             record.extra["profile"] = profiler.bench_section()

@@ -1,813 +1,35 @@
-"""Batched multi-cell BAI controller plane.
+"""Epoch-start BAI sweep over the cells of a shard.
 
-PR 7's honest profile left the metro's hot spot in the per-flow Python
-of the BAI controller: per cell and per boundary, the scalar path
-builds a :class:`~repro.core.optimizer.FlowSpec` dataclass per flow
-(twice — once raw, once step-constrained), a per-flow choice list in
-:class:`~repro.core.optimizer.ExactSolver`, and a per-flow hysteresis
-loop in :class:`~repro.core.algorithm1.Algorithm1`.  At 10k UEs that
-is ~240k tiny numpy calls and hundreds of thousands of short-lived
-objects per BAI.
+:class:`~repro.sim.network.NetworkShard` calls :meth:`BatchBaiPlane.sweep`
+at every epoch start, before its cells advance.  The sweep fires each
+cell's due interval controllers through the cell's own firing rule
+(:meth:`repro.sim.cell.Cell._fire_due_controllers`), at the instant
+the cell's first step of the epoch would have fired them.  Every BAI in
+every execution mode — lockstep, in-process and sharded — therefore
+runs through the one scalar controller,
+:meth:`repro.core.oneapi.OneApiServer.on_interval`, and a boundary the
+sweep does not see as due (the cell clock still a float rounding short
+of it) fires one step later inside the run, in every mode alike.
 
-This module is the struct-of-arrays mirror of that plane — the same
-contract as :mod:`repro.sim.kernel`'s TTI mirror, one layer up:
-
-* :class:`_CellSlots` holds one ``(OneApiServer, Cell)`` pair's flow
-  columns (flow ids, beta/theta, ladder rate tables, client caps) plus
-  the cross-boundary controller state (EWMA bytes-per-RB estimates,
-  hysteresis level/up-streak) as flat arrays keyed by a flow-slot map.
-  Columns rebuild only when ``Cell.topology_rev`` or
-  ``OneApiServer.plugin_rev`` moves.
-* :class:`BatchBaiPlane` runs **one vectorized sweep over all cells of
-  a shard** at each epoch boundary: usage consumption and the EWMA /
-  capacity-cost / client-cap assembly are elementwise array ops, the
-  MCKP DP stacks same-quanta cells along a run axis and replays the
-  scalar solver's per-choice strict-``>`` relaxation as 2-D masked
-  ufunc sweeps, and Algorithm 1's hysteresis becomes masked array ops.
-  Order-sensitive reductions (``used_rbs``, the discrete objective) are
-  replayed as sequential Python-float chains per the FL008 rules.
-
-Byte identity
--------------
-The plane replicates the scalar path operation-for-operation: the same
-IEEE-754 ops in the same order produce bit-identical ``CellReport``s,
-``BaiRecord`` streams and checker behaviour (differential-tested in
-``tests/core/test_batch.py`` and the ``tests/sim`` matrices).  Two
-deliberate, non-observable deviations:
-
-* ``Solution.solve_time_s`` is the batched sweep's wall clock averaged
-  over the boundary's cells (wall-clock timing is volatile and excluded
-  from report comparisons, exactly like the scalar timer).
-* ``BaiDecision.verdicts`` is materialized only while a tracer or
-  telemetry collector is armed; unarmed runs carry empty verdict maps
-  (CellReports never read verdicts; the solver-health counters on
-  :class:`~repro.core.oneapi.OneApiServer` are maintained regardless).
-* Cross-cell trace-event interleaving differs: the sweep emits every
-  due cell's ``BAI_SOLVE`` before any cell's first in-epoch events,
-  where the lockstep scalar path interleaves them per step.  Per-cell
-  event streams are identical.
-
-The scalar ``Ewma``/``FlowState`` objects stay authoritative: the
-sweep flushes its arrays into them at every boundary, so handover
-detach/attach, toggling the plane off mid-run, and column rebuilds all
-observe exactly the state the scalar path would have left.  Mutating
-that state *between* boundaries without a revision bump is outside the
-mirror contract (nothing in ``src/repro`` does).
-
-Selection follows the :mod:`repro.sim.kernel` convention:
-``REPRO_BATCH_BAI=0`` (or ``--no-batch-bai`` / a
-:func:`batch_bai_mode` context) disables the plane; any boundary the
-sweep does not claim — unsupported server/solver/plugin subclasses,
-BAIs not aligned with epoch starts — simply fires organically through
-the scalar controller path inside the run, unchanged.
+Keeping the boundary in its own call, outside the TTI loop, lets a
+profiler or an outside-in trace (``perfbench/spans.py`` wraps
+``BatchBaiPlane.sweep``) time the BAI boundary apart from the MAC
+steps.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
-
-import numpy as np
-
-from repro import check as chk
-from repro.core.algorithm1 import (
-    Algorithm1,
-    BaiDecision,
-    FlowState,
-    HysteresisVerdict,
-)
-from repro.core.oneapi import BaiRecord, OneApiServer
-from repro.core.optimizer import ExactSolver, Solution
-from repro.core.plugin import FlarePlugin
-from repro.core.utility import data_utility
-from repro.has.mpd import BitrateLadder
-from repro.obs import events as obs_events
-from repro.obs import prof
-from repro.obs import telemetry as obs_telemetry
-from repro.obs import tracer as obs
-from repro.obs.registry import REGISTRY
-from repro.util import Ewma
+from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.net.flows import VideoFlow
     from repro.sim.cell import Cell
-
-#: Environment variable controlling the batched-BAI selection.
-BATCH_BAI_ENV = "REPRO_BATCH_BAI"
-
-#: Values of :data:`BATCH_BAI_ENV` that disable the batched plane.
-_DISABLED_VALUES = frozenset({"0", "false", "off", "no"})
-
-#: In-process override of the environment selection (see
-#: :func:`batch_bai_mode`); mirrors the ``kernel_mode`` pattern.
-_FORCED: Optional[bool] = None
-
-#: The scalar solver's "unreachable" DP sentinel, replicated exactly.
-_NEG_INF = -1e18
-
-#: Cap on the DP parent tensor per solve chunk; cells beyond it solve
-#: in further chunks (identical results — the DP is per-cell).
-_PARENT_BUDGET_BYTES = 96 * 1024 * 1024
-
-#: Attributes of the scalar controller-plane classes that the batched
-#: plane deliberately does not write back, with the reason each one
-#: stays correct.  ``tools.flarelint.parity`` checks this allowlist
-#: against the analyzed dataflow both ways (FL100/FL101/FL102), same
-#: contract as ``repro.sim.kernel.KERNEL_UNMIRRORED``.
-BATCH_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
-    # -- rebuild keys / topology inputs (read-only on the batch side) --
-    "OneApiServer._plugins": (
-        "registration topology, mutated only by (de)register_plugin "
-        "which bumps _plugin_rev; the sweep re-reads it on rebuild"),
-    "OneApiServer._plugin_rev": (
-        "the rebuild version key itself; written only by the scalar "
-        "side, compared (never advanced) by the mirror"),
-    # -- state the sweep delegates to the live scalar objects ----------
-    "FlarePlugin._assigned_index": (
-        "enforcement calls plugin.assign() on the live object, the "
-        "same mutation site the scalar path uses"),
-    "FlarePlugin._assignment_history": (
-        "appended by plugin.assign(); see _assigned_index"),
-    # -- client-side hints, re-read every boundary ---------------------
-    "FlarePlugin._max_bitrate_bps": (
-        "client-side cap mutated by set_max_bitrate between BAIs; the "
-        "sweep re-reads it when assembling each boundary's caps"),
-    "FlarePlugin._skimming": (
-        "client-side hint mutated by set_skimming between BAIs; "
-        "re-read every boundary alongside _max_bitrate_bps"),
-    # -- solver internals the batch plane reimplements -----------------
-    "ExactSolver._log_table": (
-        "per-instance memo of math.log values; the batched plane "
-        "interns identical tables keyed by quanta on the plane"),
-}
-
-
-def batch_bai_enabled() -> bool:
-    """True when epoch boundaries should use the batched BAI sweep.
-
-    An active :func:`batch_bai_mode` context wins; otherwise the
-    ``REPRO_BATCH_BAI`` environment convention applies (enabled unless
-    set to ``0``/``false``/``off``/``no``).
-    """
-    if _FORCED is not None:
-        return _FORCED
-    value = os.environ.get(BATCH_BAI_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _DISABLED_VALUES
-
-
-@contextmanager
-def batch_bai_mode(enabled: bool) -> Iterator[None]:
-    """Scoped override of the batched-BAI selection.
-
-    Inside the context :func:`batch_bai_enabled` reports ``enabled``
-    regardless of ``REPRO_BATCH_BAI``.  The environment variable is
-    also set for the duration so worker processes forked by the shard
-    pool inherit the selection; both are restored on exit.
-    """
-    # Scoped override, mirrored into the environment below precisely
-    # so forked shard workers inherit it deterministically.
-    global _FORCED  # flarelint: disable=FL009
-    previous_forced = _FORCED
-    previous_env = os.environ.get(BATCH_BAI_ENV)
-    _FORCED = enabled
-    os.environ[BATCH_BAI_ENV] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        _FORCED = previous_forced
-        if previous_env is None:
-            os.environ.pop(BATCH_BAI_ENV, None)
-        else:
-            os.environ[BATCH_BAI_ENV] = previous_env
-
-
-class _Staging:
-    """One due ``(server, cell)`` boundary staged for the group solve."""
-
-    __slots__ = (
-        "slots", "now_s", "num_data", "alpha", "total_rbs", "quanta",
-        "rbs", "weights", "caps", "feasible_pre", "rec", "feasible",
-        "solve_time_s",
-    )
-
-    def __init__(self, slots: "_CellSlots", now_s: float, num_data: int,
-                 alpha: float, total_rbs: float, quanta: int,
-                 rbs: np.ndarray, weights: np.ndarray, caps: np.ndarray,
-                 feasible_pre: bool) -> None:
-        self.slots = slots
-        self.now_s = now_s
-        self.num_data = num_data
-        self.alpha = alpha
-        self.total_rbs = total_rbs
-        self.quanta = quanta
-        self.rbs = rbs
-        self.weights = weights
-        self.caps = caps
-        self.feasible_pre = feasible_pre
-        self.rec: Optional[np.ndarray] = None
-        self.feasible = False
-        self.solve_time_s = 0.0
-
-
-class _CellSlots:
-    """Struct-of-arrays mirror of one ``(OneApiServer, Cell)`` pair.
-
-    Static columns (per rebuild): flow/plugin/ladder lists in
-    ``cell.video_flows()`` attachment order, the padded per-flow ladder
-    rate matrix and the flow-slot map.  Cross-boundary state columns:
-    the EWMA bytes-per-RB estimates and the hysteresis level/up-streak,
-    gathered from the scalar objects on rebuild and flushed back into
-    them at every boundary.
-    """
-
-    def __init__(self, server: OneApiServer, cell: "Cell") -> None:
-        self.server = server
-        self.cell = cell
-        algorithm = server.algorithm
-        # Exact-type gate: subclasses may override any hook, so they
-        # fall back to the organic scalar firing inside the run.
-        self.supported = (
-            type(server) is OneApiServer
-            and type(algorithm) is Algorithm1
-            and type(algorithm.solver) is ExactSolver)
-        self._topology_rev = -1
-        self._plugin_rev = -1
-        self.count = 0
-        self.flow_ids: list[int] = []
-        self.flows: list[VideoFlow] = []
-        self.plugins: list[FlarePlugin] = []
-        self.ladders: list[BitrateLadder] = []
-        self.slot_of: dict[int, int] = {}
-        self.num_levels = 0
-        self.lad_len = np.zeros(0, dtype=np.int64)
-        self.rates = np.zeros((0, 0))
-        self.beta = np.zeros(0)
-        self.theta = np.zeros(0)
-        self.values = np.zeros((0, 0))
-        self.ewma = np.zeros(0)
-        self.seen = np.zeros(0, dtype=bool)
-        self.level = np.zeros(0, dtype=np.int64)
-        self.streak = np.zeros(0, dtype=np.int64)
-        self._samples = np.zeros(0)
-
-    # -- column lifecycle ----------------------------------------------
-    def refresh(self) -> bool:
-        """Sync columns with the live objects; False when unsupported."""
-        if not self.supported:
-            return False
-        if (self._topology_rev == self.cell.topology_rev
-                and self._plugin_rev == self.server.plugin_rev):
-            # Same membership; a plugin's ladder object may still have
-            # been swapped in place (no revision tracks that).
-            for k, plugin in enumerate(self.plugins):
-                if plugin.ladder is not self.ladders[k]:
-                    return self._rebuild()
-            return True
-        return self._rebuild()
-
-    def _rebuild(self) -> bool:
-        cell, server = self.cell, self.server
-        flows: list[VideoFlow] = []
-        plugins: list[FlarePlugin] = []
-        for flow in cell.video_flows():
-            plugin = server._plugins.get(flow.flow_id)
-            if plugin is None:
-                continue  # a non-FLARE video flow: served as data
-            if (type(plugin) is not FlarePlugin
-                    or type(plugin.ladder) is not BitrateLadder):
-                self.supported = False
-                return False
-            flows.append(flow)
-            plugins.append(plugin)
-        self.flows = flows
-        self.plugins = plugins
-        self.ladders = [plugin.ladder for plugin in plugins]
-        self.flow_ids = [flow.flow_id for flow in flows]
-        self.slot_of = {fid: k for k, fid in enumerate(self.flow_ids)}
-        n = self.count = len(flows)
-        width = max((len(ladder) for ladder in self.ladders), default=0)
-        self.num_levels = width
-        self.lad_len = np.array(
-            [len(ladder) for ladder in self.ladders], dtype=np.int64)
-        rates = np.ones((n, width))  # pad 1.0: positive, cap-masked
-        for k, ladder in enumerate(self.ladders):
-            rates[k, :len(ladder)] = ladder.rates_bps
-        self.rates = rates
-        # NaN sentinels force the utility tensor to build on the first
-        # boundary after a rebuild (NaN != NaN in array_equal).
-        self.beta = np.full(n, np.nan)
-        self.theta = np.full(n, np.nan)
-        self.values = np.zeros((n, width))
-        ewma = np.empty(n)
-        seen = np.zeros(n, dtype=bool)
-        level = np.zeros(n, dtype=np.int64)
-        streak = np.zeros(n, dtype=np.int64)
-        states = server.algorithm._states
-        estimates = server._bpp_estimates
-        for k, fid in enumerate(self.flow_ids):
-            estimator = estimates.get(fid)
-            if estimator is not None and estimator.value is not None:
-                ewma[k] = estimator.value
-                seen[k] = True
-            else:
-                ewma[k] = 0.0
-            state = states.get(fid)
-            if state is not None:
-                level[k] = state.level
-                streak[k] = state.up_streak
-        self.ewma = ewma
-        self.seen = seen
-        self.level = level
-        self.streak = streak
-        self._samples = np.empty(n)
-        self._prbs_col = np.zeros(n)
-        self._bytes_col = np.zeros(n)
-        self._topology_rev = cell.topology_rev
-        self._plugin_rev = server.plugin_rev
-        return True
-
-    # -- boundary stage 1: usage + SoA FlowSpec columns ----------------
-    def stage(self) -> Optional[_Staging]:
-        """Consume usage and assemble this boundary's columns.
-
-        Replicates ``OneApiServer.build_problem`` (usage consumption,
-        the per-flow cost fallback chain, the EWMA update, client caps)
-        and ``Algorithm1.constrain`` (the one-step-up cap), plus the
-        solver's choice-weight table and feasibility precheck — without
-        constructing a single ``FlowSpec``.
-        """
-        cell, server = self.cell, self.server
-        n = self.count
-        if n == 0:
-            cell.consume_usage_report(server)
-            return None  # scalar path: problem has no flows -> no-op
-        prbs_col = self._prbs_col
-        bytes_col = self._bytes_col
-        cell.consume_usage_columns(server, self.slot_of, prbs_col,
-                                   bytes_col)
-        now_s = cell.now_s
-        samples = self._samples
-        # Realised efficiency, elementwise: ``bytes_tx / prbs`` is the
-        # exact scalar division FlowUsage.bytes_per_prb performs; flows
-        # without positive usage take the scalar fallback chain below.
-        with_usage = (bytes_col > 0.0) & (prbs_col > 0.0)
-        samples.fill(0.0)
-        np.divide(bytes_col, prbs_col, out=samples, where=with_usage)
-        beta_new = np.empty(n)
-        theta_new = np.empty(n)
-        client_caps = np.empty(n, dtype=np.int64)
-        flows = self.flows
-        plugins = self.plugins
-        ladders = self.ladders
-        for k in np.nonzero(samples <= 0.0)[0].tolist():
-            bpp = flows[k].ue.channel.bytes_per_prb_at(now_s)
-            if bpp <= 0:
-                bpp = 1.0  # out-of-range UE: prohibitively costly
-            samples[k] = bpp
-        for k in range(n):
-            ue = flows[k].ue
-            beta_new[k] = ue.beta
-            theta_new[k] = ue.theta_bps
-            plugin = plugins[k]
-            if plugin._skimming:
-                client_caps[k] = 0
-            elif plugin._max_bitrate_bps is None:
-                client_caps[k] = len(ladders[k]) - 1
-            else:
-                client_caps[k] = ladders[k].highest_at_most(
-                    plugin._max_bitrate_bps)
-        # EWMA fold: (1 - w) * estimate + w * sample elementwise; the
-        # first sample replaces the estimate, as Ewma.update does.
-        weight = server.cost_smoothing
-        decayed = (1.0 - weight) * self.ewma
-        scaled = weight * samples
-        updated = decayed + scaled
-        smoothed = np.where(self.seen, updated, samples)
-        self.ewma = smoothed
-        self.seen = np.ones(n, dtype=bool)
-        denominator = 8.0 * smoothed
-        rbs = server.interval_s / denominator
-        # Utility tensor: beta * (1 - theta / rate), recomputed only
-        # when a UE's utility parameters move.
-        if not (np.array_equal(beta_new, self.beta)
-                and np.array_equal(theta_new, self.theta)):
-            self.beta = beta_new
-            self.theta = theta_new
-            scratch = theta_new[:, None] / self.rates
-            np.subtract(1.0, scratch, out=scratch)
-            np.multiply(beta_new[:, None], scratch, out=scratch)
-            self.values = scratch
-        # Algorithm 1's step constraint caps today's reachable index.
-        if server.algorithm.enforce_step_limit:
-            caps = np.minimum(self.level + 1, client_caps)
-        else:
-            caps = client_caps
-        total_rbs = cell.prbs_per_second() * server.interval_s
-        quanta = server.algorithm.solver.quanta
-        quantum = total_rbs / quanta
-        weights_f = rbs[:, None] * self.rates
-        weights_f /= quantum
-        np.ceil(weights_f, out=weights_f)
-        choice_weights = weights_f.astype(np.int64)
-        columns = np.arange(self.num_levels)
-        valid = columns[None, :] <= caps[:, None]
-        blocked = np.iinfo(np.int64).max
-        minw = np.where(valid, choice_weights, blocked).min(axis=1)
-        feasible_pre = int(minw.sum()) <= quanta
-        return _Staging(
-            slots=self, now_s=now_s,
-            num_data=cell.pcrf.num_data_flows(cell.cell_id),
-            alpha=server.alpha, total_rbs=total_rbs, quanta=quanta,
-            rbs=rbs, weights=choice_weights, caps=caps,
-            feasible_pre=feasible_pre)
-
-    # -- boundary stage 3: hysteresis + enforcement + audit ------------
-    def finish(self, staged: _Staging) -> None:
-        """Replay hysteresis, enforce, flush state, record and trace.
-
-        Operation-for-operation replication of
-        ``Algorithm1._run_bai``'s post-solve half and
-        ``OneApiServer._run_interval``'s enforcement/audit half, with
-        the per-flow hysteresis loop as masked array ops and the
-        order-sensitive sums replayed on Python floats.
-        """
-        server = self.server
-        cell = self.cell
-        algorithm = server.algorithm
-        n = self.count
-        now_s = staged.now_s
-        flow_ids = self.flow_ids
-        ladders = self.ladders
-        rec = staged.rec
-        assert rec is not None
-        rec_list = rec.tolist()
-        # Recommended assignment -> Solution (exact replay of the
-        # solver's dict construction and sequential-sum epilogue).
-        indices: dict[int, int] = {}
-        rates: dict[int, float] = {}
-        for k in range(n):
-            fid = flow_ids[k]
-            j = rec_list[k]
-            indices[fid] = j
-            rates[fid] = ladders[k].rates_bps[j]
-        rbs_list = staged.rbs.tolist()
-        used_rbs = 0.0
-        for k in range(n):
-            used_rbs += rbs_list[k] * rates[flow_ids[k]]
-        r = min(used_rbs / staged.total_rbs, 1.0)
-        chosen_values = self.values[np.arange(n), rec].tolist()
-        utility = 0.0
-        for value in chosen_values:
-            utility += value
-        if staged.num_data > 0:
-            utility += data_utility(min(r, 1.0 - 1e-9), staged.num_data,
-                                    staged.alpha)
-        solution = Solution(
-            indices=indices,
-            rates_bps=rates,
-            continuous_rates_bps=dict(rates),
-            r=r,
-            utility=utility,
-            solve_time_s=staged.solve_time_s,
-            feasible=staged.feasible,
-        )
-        REGISTRY.histogram(
-            f"solver.{algorithm.solver.name}.solve_s").observe(
-                solution.solve_time_s)
-        checker = chk.CHECKER
-        if checker is not None and staged.feasible:
-            checker.check_solver_residual(used_rbs, r, staged.total_rbs)
-        # Hysteresis (Algorithm 1 lines 7-14) as masked array ops.
-        previous = self.level
-        streaks = self.streak
-        up = rec > previous
-        streak_next = np.where(up, streaks + 1, 0)
-        if algorithm.delta == 0:
-            required = np.ones(n, dtype=np.int64)
-        else:
-            required = algorithm.delta * (previous + 2)
-        upgrade = up & (streak_next >= required)
-        if algorithm.enforce_step_limit:
-            raised = previous + 1
-        else:
-            raised = rec
-        level_next = np.where(
-            upgrade, raised,
-            np.where(up, previous, np.minimum(previous, rec)))
-        streak_final = np.where(upgrade, 0, streak_next)
-        enforced = np.clip(level_next, 0, self.lad_len - 1)
-        holds = int(np.count_nonzero(up & ~upgrade))
-        # Per-flow epilogue: state flush, step-limit checks, verdicts.
-        armed = (obs.TRACER is not None
-                 or obs_telemetry.COLLECTOR is not None)
-        enforce_step = algorithm.enforce_step_limit
-        states = algorithm._states
-        verdicts: dict[int, HysteresisVerdict] = {}
-        indices_enforced: dict[int, int] = {}
-        rates_enforced: dict[int, float] = {}
-        enforced_list = enforced.tolist()
-        previous_list = previous.tolist()
-        streak_list = streak_final.tolist()
-        required_list = required.tolist()
-        upgrade_list = upgrade.tolist()
-        up_list = up.tolist()
-        for k in range(n):
-            fid = flow_ids[k]
-            level = enforced_list[k]
-            state = states.get(fid)
-            if state is None:
-                state = states[fid] = FlowState()
-            state.level = level
-            state.up_streak = streak_list[k]
-            if checker is not None and enforce_step:
-                checker.check_ladder_step(fid, previous_list[k], level)
-            indices_enforced[fid] = level
-            rates_enforced[fid] = ladders[k].rates_bps[level]
-            if armed:
-                if upgrade_list[k]:
-                    action = "upgrade"
-                elif up_list[k]:
-                    action = "hold"
-                elif rec_list[k] < previous_list[k]:
-                    action = "downgrade"
-                else:
-                    action = "keep"
-                verdicts[fid] = HysteresisVerdict(
-                    flow_id=fid,
-                    recommended=rec_list[k],
-                    enforced=level,
-                    up_streak=streak_list[k],
-                    required_streak=required_list[k],
-                    action=action,
-                )
-        self.level = enforced
-        self.streak = streak_final
-        # Flush the EWMA column into the authoritative scalar objects.
-        estimates = server._bpp_estimates
-        smoothing = server.cost_smoothing
-        ewma_list = self.ewma.tolist()
-        for k in range(n):
-            fid = flow_ids[k]
-            estimator = estimates.get(fid)
-            if estimator is None:
-                estimator = estimates[fid] = Ewma(smoothing)
-            estimator.load(ewma_list[k])
-        decision = BaiDecision(
-            indices=indices_enforced,
-            rates_bps=rates_enforced,
-            solution=solution,
-            verdicts=verdicts,
-        )
-        if checker is not None and staged.feasible:
-            gbr_rbs = 0.0
-            for k in range(n):
-                gbr_rbs += rbs_list[k] * rates_enforced[flow_ids[k]]
-            checker.check_gbr_capacity(now_s, gbr_rbs, staged.total_rbs)
-        plugins = self.plugins
-        enforce_gbr = server.enforce_gbr
-        pcef = cell.pcef
-        for k in range(n):
-            fid = flow_ids[k]
-            plugins[k].assign(enforced_list[k], time_s=now_s)
-            if enforce_gbr:
-                pcef.enforce(fid, gbr_bps=rates_enforced[fid],
-                             time_s=now_s)
-        server._records.append(BaiRecord(
-            time_s=now_s,
-            decision=decision,
-            num_video_flows=n,
-            num_data_flows=staged.num_data,
-        ))
-        server.solve_count += 1
-        if not staged.feasible:
-            server.infeasible_count += 1
-        server.hold_count += holds
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                obs_events.BAI_SOLVE, now_s,
-                cell=cell.cell_id,
-                num_video=n,
-                num_data=staged.num_data,
-                total_rbs=staged.total_rbs,
-                r=solution.r,
-                utility=solution.utility,
-                solve_s=solution.solve_time_s,
-                feasible=solution.feasible,
-                flows=[
-                    {
-                        "flow": verdict.flow_id,
-                        "recommended": verdict.recommended,
-                        "enforced": verdict.enforced,
-                        "rate_bps": decision.rates_bps[verdict.flow_id],
-                        "up_streak": verdict.up_streak,
-                        "required_streak": verdict.required_streak,
-                        "action": verdict.action,
-                    }
-                    for verdict in decision.verdicts.values()
-                ],
-            )
 
 
 class BatchBaiPlane:
-    """One vectorized BAI sweep over all cells of a shard.
+    """Fires every cell's due BAI boundary at an epoch start."""
 
-    Owned by :class:`repro.sim.network.NetworkShard`; ``sweep`` runs at
-    every epoch boundary before the cells advance, claiming every due
-    supported :class:`~repro.core.oneapi.OneApiServer` boundary.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[int, _CellSlots] = {}
-        self._log_tables: dict[int, np.ndarray] = {}
-
-    # -- entry ---------------------------------------------------------
-    def sweep(self, cells: Iterable["Cell"]) -> None:
-        """Fire every due supported BAI boundary across ``cells``."""
-        cell_list = list(cells)
-        profiler = prof.PROFILER
-        if profiler is None:
-            self._sweep(cell_list)
-            return
-        with profiler.span("core.bai.batch"):
-            self._sweep(cell_list)
-
-    def _sweep(self, cells: "list[Cell]") -> None:
-        while True:
-            due: list[tuple[_CellSlots, list[float]]] = []
-            for cell in cells:
-                for controller, next_due in cell._controllers:
-                    if not isinstance(controller, OneApiServer):
-                        continue
-                    # The scalar fire predicate, verbatim.
-                    if not next_due[0] <= cell.now_s + 1e-12:
-                        continue
-                    slots = self._slots_for(controller, cell)
-                    if not slots.refresh():
-                        continue  # unsupported: fires inside the run
-                    due.append((slots, next_due))
-            if not due:
-                return
-            self._run_boundaries([slots for slots, _ in due])
-            for slots, next_due in due:
-                next_due[0] += float(slots.server.interval_s)
-
-    def _slots_for(self, server: OneApiServer,
-                   cell: "Cell") -> _CellSlots:
-        key = id(server)
-        slots = self._slots.get(key)
-        # The stored slot holds a strong reference, so a live entry's
-        # id cannot be recycled; re-check identity for cell moves.
-        if (slots is None or slots.server is not server
-                or slots.cell is not cell):
-            slots = _CellSlots(server, cell)
-            self._slots[key] = slots
-        return slots
-
-    # -- boundary orchestration ----------------------------------------
-    def _run_boundaries(self, due: list[_CellSlots]) -> None:
-        stagings: list[_Staging] = []
-        for slots in due:
-            staged = slots.stage()
-            if staged is not None:
-                stagings.append(staged)
-        if not stagings:
-            return
-        groups: dict[int, list[_Staging]] = {}
-        for staged in stagings:
-            groups.setdefault(staged.quanta, []).append(staged)
-        for quanta, group in groups.items():
-            self._solve_group(quanta, group)
-        # Finish in shard cell order (not group order) so checker and
-        # tracer cross-cell ordering matches the scalar sweep.
-        for staged in stagings:
-            staged.slots.finish(staged)
-
-    def _solve_group(self, quanta: int, group: list[_Staging]) -> None:
-        started = prof.clock()
-        solvable = [st for st in group if st.feasible_pre]
-        for staged in group:
-            if not staged.feasible_pre:
-                # The scalar all-minimum fallback: every flow at index
-                # 0, feasible=False; finish() replays the epilogue.
-                staged.rec = np.zeros(staged.slots.count, dtype=np.int64)
-                staged.feasible = False
-        if solvable:
-            widest = max(st.slots.count for st in solvable)
-            per_cell = max(widest * (quanta + 1) * 8, 1)
-            chunk_cells = max(1, _PARENT_BUDGET_BYTES // per_cell)
-            for low in range(0, len(solvable), chunk_cells):
-                self._solve_chunk(quanta, solvable[low:low + chunk_cells])
-        share = (prof.clock() - started) / len(group)
-        for staged in group:
-            staged.solve_time_s = share
-
-    def _log_one_minus_r(self, quanta: int) -> np.ndarray:
-        """``log(1 - q/quanta)`` table, identical to the solver's."""
-        table = self._log_tables.get(quanta)
-        if table is None:
-            table = np.empty(quanta + 1)
-            for q in range(quanta):
-                table[q] = math.log(1.0 - q / quanta)
-            table[quanta] = 0.0  # masked below, as in the scalar scan
-            self._log_tables[quanta] = table
-        return table
-
-    def _solve_chunk(self, quanta: int, chunk: list[_Staging]) -> None:
-        """The batched MCKP DP: same-quanta cells on one run axis.
-
-        Replays ``ExactSolver._solve``'s per-choice strict-``>``
-        relaxation as 2-D masked ufunc sweeps over ``(cell, budget)``
-        planes — per cell, the exact op sequence of the scalar DP —
-        then the vectorized outer scan and the per-cell backtrack.
-        """
-        num_cells = len(chunk)
-        size = quanta + 1
-        max_flows = max(st.slots.count for st in chunk)
-        width = max(int(st.caps.max()) + 1 for st in chunk)
-        weights = np.zeros((num_cells, max_flows, width), dtype=np.int64)
-        values = np.zeros((num_cells, max_flows, width))
-        usable = np.zeros((num_cells, max_flows, width), dtype=bool)
-        counts = np.empty(num_cells, dtype=np.int64)
-        cap_table = np.full((num_cells, max_flows), -1, dtype=np.int64)
-        for c, staged in enumerate(chunk):
-            slots = staged.slots
-            n = slots.count
-            counts[c] = n
-            cap_table[c, :n] = staged.caps
-            span = min(width, slots.num_levels)
-            weights[c, :n, :span] = staged.weights[:, :span]
-            values[c, :n, :span] = slots.values[:, :span]
-            usable[c, :n, :span] = (
-                np.arange(span)[None, :] <= staged.caps[:, None])
-        usable &= weights <= quanta  # the scalar `continue` guard
-        cap_max = cap_table.max(axis=0)
-        dp = np.full((num_cells, size), _NEG_INF)
-        dp[:, 0] = 0.0
-        parents = np.empty((max_flows, num_cells, size), dtype=np.int64)
-        positions = np.arange(size)
-        rows = np.arange(num_cells)[:, None]
-        ndp = np.empty((num_cells, size))
-        parent = np.empty((num_cells, size), dtype=np.int64)
-        better = np.empty((num_cells, size), dtype=bool)
-        for k in range(max_flows):
-            ndp.fill(_NEG_INF)
-            parent.fill(-1)
-            for j in range(int(cap_max[k]) + 1):
-                choice_ok = usable[:, k, j]
-                if not choice_ok.any():
-                    continue
-                shift = weights[:, k, j]
-                index = positions[None, :] - shift[:, None]
-                reachable = index >= 0
-                np.maximum(index, 0, out=index)
-                candidate = dp[rows, index]
-                candidate += values[:, k, j][:, None]
-                candidate[~reachable] = _NEG_INF
-                np.greater(candidate, ndp, out=better)
-                better &= choice_ok[:, None]
-                np.copyto(ndp, candidate, where=better)
-                parent[better] = j
-            inactive = counts <= k
-            if inactive.any():
-                ndp[inactive] = dp[inactive]
-            parents[k] = parent
-            dp, ndp = ndp, dp
-        # Outer scan over the quantised budget (see ExactSolver._solve
-        # for the op-for-op derivation), one row per cell.
-        run_max = np.maximum.accumulate(dp, axis=1)
-        strict = np.empty((num_cells, size), dtype=bool)
-        strict[:, 0] = True
-        np.greater(dp[:, 1:], run_max[:, :-1], out=strict[:, 1:])
-        rbq = np.maximum.accumulate(
-            np.where(strict, positions[None, :], 0), axis=1)
-        objective = run_max.copy()
-        table = self._log_one_minus_r(quanta)
-        for c, staged in enumerate(chunk):
-            if staged.num_data > 0:
-                n_alpha = staged.num_data * staged.alpha
-                objective[c] = run_max[c] + n_alpha * table
-                objective[c, quanta] = -np.inf
-        objective[run_max <= _NEG_INF / 2] = -np.inf
-        best = np.argmax(objective, axis=1)
-        for c, staged in enumerate(chunk):
-            top = int(best[c])
-            n = staged.slots.count
-            if not np.isfinite(objective[c, top]):
-                staged.rec = np.zeros(n, dtype=np.int64)
-                staged.feasible = False
-                continue
-            q = int(rbq[c, top])
-            rec = np.empty(n, dtype=np.int64)
-            cell_weights = staged.weights
-            for k in range(n - 1, -1, -1):
-                choice = int(parents[k, c, q])
-                if choice < 0:
-                    choice = 0  # unreachable in a feasible DP; be safe
-                rec[k] = choice
-                q -= int(cell_weights[k, choice])
-            staged.rec = rec
-            staged.feasible = True
+    def sweep(self, cells: Iterable[Cell]) -> None:
+        """Fire the due interval controllers of ``cells``, in order."""
+        for cell in cells:
+            cell._fire_due_controllers()

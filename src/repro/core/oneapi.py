@@ -112,22 +112,17 @@ class OneApiServer:
         self.solve_count = 0
         self.infeasible_count = 0
         self.hold_count = 0
-        # Bumped on every plugin (de)registration; the batched
-        # controller plane keys its struct-of-arrays rebuilds on it.
-        self._plugin_rev = 0
 
     # ------------------------------------------------------------------
     def register_plugin(self, plugin: FlarePlugin) -> None:
         """A client embedded the plugin and sent its first message."""
         self._plugins[plugin.flow_id] = plugin
-        self._plugin_rev += 1
 
     def deregister_plugin(self, flow_id: int) -> None:
         """A client left (flow torn down)."""
         self._plugins.pop(flow_id, None)
         self.algorithm.forget(flow_id)
         self._bpp_estimates.pop(flow_id, None)
-        self._plugin_rev += 1
 
     @property
     def records(self) -> tuple[BaiRecord, ...]:
@@ -137,11 +132,6 @@ class OneApiServer:
         most recent ``max_records`` of them.
         """
         return tuple(self._records)
-
-    @property
-    def plugin_rev(self) -> int:
-        """Monotonic version of the registered-plugin set."""
-        return self._plugin_rev
 
     # ------------------------------------------------------------------
     def _cost_for_flow(self, cell: Cell, flow: VideoFlow,

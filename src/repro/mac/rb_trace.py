@@ -112,15 +112,6 @@ class RbTraceModule:
             self._cumulative_bytes.get(flow_id, 0.0),
         )
 
-    def cumulative_maps(self) -> tuple[dict[int, float], dict[int, float]]:
-        """The live (prbs, bytes) cumulative maps, keyed by flow id.
-
-        Read-only bulk view for callers that walk every flow per BAI
-        (the usage snapshot in :meth:`repro.sim.cell.Cell.
-        consume_usage_columns`); callers must not mutate the dicts.
-        """
-        return self._cumulative_prbs, self._cumulative_bytes
-
     def total_cumulative_prbs(self) -> float:
         """Total PRBs this cell granted since simulation start.
 

@@ -20,10 +20,8 @@ OneAPI server, the AVIS agent and the metrics sampler all conform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from typing import Protocol
-
-import numpy as np
 
 from repro import check as chk
 from repro.abr.base import AbrAlgorithm
@@ -110,7 +108,6 @@ class Cell:
         self._now_s = 0.0
         self._step_hooks: list[Callable[[float], None]] = []
         self._kernel: TtiKernel | None = None
-        self._topology_rev = 0
 
     # ------------------------------------------------------------------
     # Introspection used by network-side controllers
@@ -164,19 +161,8 @@ class Cell:
     # ------------------------------------------------------------------
     def _invalidate_kernel(self) -> None:
         """Topology changed: the TTI kernel's mirrors must rebuild."""
-        self._topology_rev += 1
         if self._kernel is not None:
             self._kernel.invalidate()
-
-    @property
-    def topology_rev(self) -> int:
-        """Monotonic version of the flow-attachment topology.
-
-        Bumped whenever flows attach/detach; the batched BAI controller
-        plane keys its struct-of-arrays rebuilds on it (same contract
-        as the TTI kernel's ``invalidate``).
-        """
-        return self._topology_rev
 
     def _active_kernel(self) -> TtiKernel | None:
         """The vectorized fast path, or ``None`` when disabled.
@@ -322,43 +308,6 @@ class Cell:
             )
         self._usage_snapshots[key] = (snapshot, self._now_s)
         return report
-
-    def consume_usage_columns(
-        self, consumer: object, slot_of: Mapping[int, int],
-        prbs_out: np.ndarray, bytes_out: np.ndarray) -> float:
-        """Column variant of :meth:`consume_usage_report`.
-
-        Identical snapshot bookkeeping (same consumer key, same
-        cumulative reads, same delta arithmetic with the same ``(0.0,
-        0.0)`` default), but the per-flow deltas for flows present in
-        ``slot_of`` are written into the slot-aligned output arrays
-        instead of materialising :class:`FlowUsage` objects.  Flows
-        without a slot still advance the snapshot, so interleaving this
-        with scalar :meth:`consume_usage_report` calls for the same
-        consumer observes exactly the same deltas.  Returns the
-        interval duration.
-        """
-        if self._kernel is not None:
-            self._kernel.flush()
-        key = id(consumer)
-        previous, previous_time = self._usage_snapshots.get(key, ({}, 0.0))
-        duration = max(self._now_s - previous_time, 0.0)
-        cum_prbs, cum_bytes = self.trace.cumulative_maps()
-        snapshot: dict[int, tuple[float, float]] = {}
-        zero = (0.0, 0.0)
-        get_prev = previous.get
-        get_slot = slot_of.get
-        for flow in self._flows:
-            fid = flow.flow_id
-            pair = (cum_prbs.get(fid, 0.0), cum_bytes.get(fid, 0.0))
-            snapshot[fid] = pair
-            slot = get_slot(fid)
-            if slot is not None:
-                prev = get_prev(fid, zero)
-                prbs_out[slot] = pair[0] - prev[0]
-                bytes_out[slot] = pair[1] - prev[1]
-        self._usage_snapshots[key] = (snapshot, self._now_s)
-        return duration
 
     # ------------------------------------------------------------------
     # Simulation loop

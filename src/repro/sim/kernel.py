@@ -175,8 +175,6 @@ KERNEL_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
     #    Cell._invalidate_kernel(), which discards this kernel so
     #    _rebuild() re-derives all mirrors from scratch.
     "Cell._kernel": "kernel lifecycle itself; rebuilt on invalidation",
-    "Cell._topology_rev": "monotonic topology version bumped alongside "
-                          "invalidation; read-only rebuild key",
     "Cell._flows": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._players": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._ladders": "topology; mutation invalidates the kernel (rebuild)",

@@ -51,7 +51,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.batch import BatchBaiPlane, batch_bai_enabled
+from repro.core.batch import BatchBaiPlane
 from repro.core.controller import FlareSystem
 from repro.has.player import HasPlayer
 from repro.metrics.collector import (
@@ -645,9 +645,8 @@ class NetworkShard:
         #: them; they never feed back into simulation state.
         self._stall_cursor: dict[int, int] = {}
         self._bai_cursor: dict[int, tuple[int, int, int]] = {}
-        #: The batched BAI controller plane (struct-of-arrays mirror of
-        #: every supported OneApiServer; see repro.core.batch).
-        self._batch_bai = BatchBaiPlane()
+        #: Fires every cell's due BAI boundary at each epoch start.
+        self._bai_sweep = BatchBaiPlane()
 
     @property
     def cell_ids(self) -> tuple[int, ...]:
@@ -713,23 +712,17 @@ class NetworkShard:
         Installs the epoch's frozen interference penalties, primes
         every channel's per-bucket iTbs table for the epoch (kernel
         mode only — the lockstep reference keeps the pure scalar
-        path), advances all cells (one fused kernel invocation per
-        cell, or the per-step lockstep reference schedule), and
-        returns ``(cumulative PRBs per cell, cells that ran on the
-        kernel fast path)``.
+        path), fires the BAI boundaries due at the epoch start (in
+        every mode, through the scalar controller), advances all
+        cells (one fused kernel invocation per cell, or the per-step
+        lockstep reference schedule), and returns ``(cumulative PRBs
+        per cell, cells that ran on the kernel fast path)``.
         """
         self.penalties.replace(penalties)
         cells = [built.cell for built in self._built.values()]
         if not lockstep and cells and kernel_enabled():
             self._prime_epoch(cells, epoch_end_s)
-        if cells and batch_bai_enabled():
-            # BAI boundaries aligned with the epoch start (the metro's
-            # exchange cadence) fire here as one vectorized sweep over
-            # all of the shard's cells; anything the sweep does not
-            # claim fires organically inside the run, unchanged.  This
-            # runs in every mode — lockstep, kernel-batched, sharded —
-            # and is byte-identical to the scalar controller path.
-            self._batch_bai.sweep(cells)
+        self._bai_sweep.sweep(cells)
         if lockstep:
             advance_cells_lockstep(cells, epoch_end_s)
             fast = 0
@@ -871,8 +864,7 @@ class NetworkShard:
             solves = infeasible = holds = 0
             if built.system is not None:
                 # Lifetime counters (not record scans): exact deltas
-                # even when the record ring wraps or the batched plane
-                # skips verdict materialization.
+                # even when the record ring wraps.
                 server = built.system.server
                 totals = (server.solve_count, server.infeasible_count,
                           server.hold_count)
@@ -973,49 +965,58 @@ class Network:
 
         Intra-shard moves go through the no-pickle migrate path;
         cross-shard moves cost one detach round trip per source shard
-        plus one attach round trip per target shard, with all requests
-        of a round written before any reply is awaited.  All flows are
-        distinct, so detaching everything before attaching anything is
-        order-equivalent to the per-directive sequence.
+        plus one arrival round per target shard, with all requests of
+        a round written before any reply is awaited.
+
+        Arrival order is part of the byte-identity contract: a cell's
+        flows sit in attachment order and the scheduler's float sums
+        run in that order, so every cell must take its arrivals in
+        directive (UE-id) order, as the in-process run's single
+        ``migrate_many`` does.  Cross-shard flows are therefore all
+        detached first (flows are distinct, so one flow leaving and
+        another arriving commute), then each target shard receives its
+        arrivals in directive order as consecutive runs of
+        ``migrate_many`` and ``attach_many`` requests, which the
+        pool's per-shard FIFO delivers in order.
         """
-        local_of: dict[int, list[tuple[int, int, int, float]]] = {}
-        detach_of: dict[int, list[tuple[int, int]]] = {}
-        for ue_id, source, target in directives:
-            flow_id = self._flow_of[ue_id]
-            if shard_of[source] == shard_of[target]:
-                local_of.setdefault(shard_of[source], []).append(
-                    (source, target, flow_id, now_s))
-            else:
-                detach_of.setdefault(shard_of[source], []).append(
-                    (source, flow_id))
         if pool is None:
             assert local is not None
-            for moves in local_of.values():
-                local.migrate_many(moves)
+            if directives:
+                local.migrate_many([
+                    (source, target, self._flow_of[ue_id], now_s)
+                    for ue_id, source, target in directives])
         else:
-            for shard_index, moves in local_of.items():
-                pool.send(shard_index, "migrate_many", moves)
+            detach_of: dict[int, list[tuple[int, int]]] = {}
+            for ue_id, source, target in directives:
+                if shard_of[source] != shard_of[target]:
+                    detach_of.setdefault(shard_of[source], []).append(
+                        (source, self._flow_of[ue_id]))
             for shard_index, requests in detach_of.items():
                 pool.send(shard_index, "detach_many", requests)
-            for shard_index in local_of:
-                pool.recv(shard_index)
             blobs: dict[tuple[int, int], bytes] = {}
             for shard_index, requests in detach_of.items():
-                for request, blob in zip(requests,
-                                         pool.recv(shard_index)):
-                    blobs[request] = blob
-            attach_of: dict[int, list[tuple[int, bytes, int,
-                                            float]]] = {}
+                blobs.update(zip(requests, pool.recv(shard_index)))
+            # Target shard -> runs of (method, items), in directive order.
+            runs: dict[int, list[tuple[str, list[Any]]]] = {}
             for ue_id, source, target in directives:
-                if shard_of[source] == shard_of[target]:
-                    continue
                 flow_id = self._flow_of[ue_id]
-                attach_of.setdefault(shard_of[target], []).append(
-                    (target, blobs[source, flow_id], source, now_s))
-            for shard_index, items in attach_of.items():
-                pool.send(shard_index, "attach_many", items)
-            for shard_index in attach_of:
-                pool.recv(shard_index)
+                if shard_of[source] == shard_of[target]:
+                    method = "migrate_many"
+                    item: Any = (source, target, flow_id, now_s)
+                else:
+                    method = "attach_many"
+                    item = (target, blobs[source, flow_id], source, now_s)
+                shard_runs = runs.setdefault(shard_of[target], [])
+                if shard_runs and shard_runs[-1][0] == method:
+                    shard_runs[-1][1].append(item)
+                else:
+                    shard_runs.append((method, [item]))
+            for shard_index, shard_runs in runs.items():
+                for method, items in shard_runs:
+                    pool.send(shard_index, method, items)
+            for shard_index, shard_runs in runs.items():
+                for _ in shard_runs:
+                    pool.recv(shard_index)
         for ue_id, source, target in directives:
             self._serving[ue_id] = target
             self.handover_count += 1

@@ -154,15 +154,6 @@ class Ewma:
         """Return the estimate, or ``default`` if no samples were seen."""
         return default if self._value is None else self._value
 
-    def load(self, value: float | None) -> None:
-        """Overwrite the estimate directly.
-
-        Mirror-flush hook for the batched controller plane: the value
-        must be one an equivalent :meth:`update` chain would have
-        produced, so scalar consumers observe identical state.
-        """
-        self._value = value
-
     def reset(self) -> None:
         """Discard all history."""
         self._value = None

@@ -1,28 +1,21 @@
-"""Differential and unit tests for the batched BAI controller plane.
+"""Differential tests for the epoch-start BAI sweep.
 
-The contract of :mod:`repro.core.batch` is the TTI kernel's, one layer
-up: the vectorized sweep must be **byte-identical** to the scalar
-controller path — same BAI decisions, same GBR pushes, same plugin
-assignments, same player behaviour — across hysteresis configurations,
-client caps, infeasible cells and mid-run churn.  Every differential
-here runs a freshly-built scalar twin against a batched twin of the
-same deterministic world and compares the full downstream record.
+:class:`repro.core.batch.BatchBaiPlane` fires a cell's due BAI
+boundaries at an epoch start, before the cell runs, where a plain
+``Cell.run`` fires them inside its first step.  The two schedules must
+be **byte-identical** — same BAI decisions, same GBR pushes, same
+plugin assignments, same player behaviour — across hysteresis
+configurations, client caps, infeasible cells and mid-run churn, on
+the TTI kernel and its vector lane alike.  Every differential here
+runs an organically fired twin against a swept twin of the same
+deterministic world and compares the full downstream record.
 """
-
-import os
 
 import pytest
 
 from repro import check as chk
-from repro.core import batch as batch_mod
-from repro.core.batch import (
-    BATCH_BAI_ENV,
-    BatchBaiPlane,
-    batch_bai_enabled,
-    batch_bai_mode,
-)
+from repro.core.batch import BatchBaiPlane
 from repro.core.controller import FlareSystem
-from repro.core.oneapi import OneApiServer
 from repro.has.mpd import SIMULATION_LADDER, BitrateLadder, MediaPresentation
 from repro.has.player import PlayerConfig
 from repro.net.flows import UserEquipment
@@ -53,17 +46,17 @@ def build_system(num_video=3, num_data=1, channel=None, bai_s=2.0,
     return cell, flare, players
 
 
-def drive(cell, flare, duration_s, epoch_s=2.0, batch=False, hooks=()):
-    """Advance a cell epoch-by-epoch, batched or organically.
+def drive(cell, flare, duration_s, epoch_s=2.0, sweep=False, hooks=()):
+    """Advance a cell epoch-by-epoch, swept or organically.
 
     Replicates ``NetworkShard.advance``'s cadence: at each epoch start
-    the batched plane (when engaged) claims every due BAI boundary,
-    then the cell runs to the epoch end; with ``batch=False`` the
-    controller fires organically inside the run.  ``hooks`` is a list
-    of ``(time_s, fn)`` mutations applied at epoch starts *before* the
+    the sweep (when engaged) fires every due BAI boundary, then the
+    cell runs to the epoch end; with ``sweep=False`` the controller
+    fires organically inside the run.  ``hooks`` is a list of
+    ``(time_s, fn)`` mutations applied at epoch starts *before* the
     boundary fires, so both twins see them in the same order.
     """
-    plane = BatchBaiPlane() if batch else None
+    plane = BatchBaiPlane() if sweep else None
     t = 0.0
     while t < duration_s - 1e-9:
         for at, hook in hooks:
@@ -73,15 +66,13 @@ def drive(cell, flare, duration_s, epoch_s=2.0, batch=False, hooks=()):
             plane.sweep([cell])
         t = min(t + epoch_s, duration_s)
         cell.run(t)
-    return plane
 
 
 def bai_facts(flare):
     """Every BAI's decision, minus wall-clock solve time and verdicts.
 
     ``solve_time_s`` is a timer (excluded from byte-identity like the
-    CellReport dump excludes it); verdict materialization is
-    deliberately lazy on the batched plane and compared separately in
+    CellReport dump excludes it); verdicts are compared separately in
     the armed test.
     """
     facts = []
@@ -115,49 +106,21 @@ def world_facts(cell, flare, players):
 
 
 def run_twins(duration_s=30.0, hooks=(), checked=True, **build_kwargs):
-    """Build + run a scalar twin and a batched twin; return both facts."""
+    """Build + run an organic twin and a swept twin; return both facts."""
     results = []
-    for batch in (False, True):
+    for sweep in (False, True):
         cell, flare, players = build_system(**build_kwargs)
         if checked:
             with chk.checked_run():
-                drive(cell, flare, duration_s, batch=batch, hooks=hooks)
+                drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
         else:
-            drive(cell, flare, duration_s, batch=batch, hooks=hooks)
+            drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
         results.append(world_facts(cell, flare, players))
     return results
 
 
-class TestSelection:
-    """REPRO_BATCH_BAI / batch_bai_mode follow the kernel convention."""
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(BATCH_BAI_ENV, raising=False)
-        assert batch_bai_enabled()
-
-    @pytest.mark.parametrize("value,expected", [
-        ("0", False), ("false", False), ("off", False), ("no", False),
-        (" OFF ", False), ("1", True), ("yes", True), ("", True),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(BATCH_BAI_ENV, value)
-        assert batch_bai_enabled() is expected
-
-    def test_mode_context_wins_and_restores(self, monkeypatch):
-        monkeypatch.setenv(BATCH_BAI_ENV, "0")
-        with batch_bai_mode(True):
-            assert batch_bai_enabled()
-            # Mirrored into the environment for forked shard workers.
-            assert os.environ[BATCH_BAI_ENV] == "1"
-            with batch_bai_mode(False):
-                assert not batch_bai_enabled()
-            assert batch_bai_enabled()
-        assert not batch_bai_enabled()
-        assert os.environ[BATCH_BAI_ENV] == "0"
-
-
 class TestSingleCellDifferential:
-    """Scalar twin == batched twin, decision for decision."""
+    """Organic twin == swept twin, decision for decision."""
 
     @pytest.mark.parametrize("config", [
         {},                                     # paper defaults
@@ -170,8 +133,8 @@ class TestSingleCellDifferential:
         {"num_data": 0},
     ])
     def test_configs_identical(self, config):
-        scalar, batched = run_twins(**config)
-        assert scalar == batched
+        organic, swept = run_twins(**config)
+        assert organic == swept
 
     def test_dynamic_channel_with_downgrades(self):
         # A fast triangular iTbs sweep forces upgrades, holds *and*
@@ -179,50 +142,49 @@ class TestSingleCellDifferential:
         def channel(k):
             return CyclicItbsChannel(lo=1, hi=14, cycle_s=40.0,
                                      offset_s=5.0 * k)
-        scalar, batched = run_twins(60.0, channel=channel, num_video=4)
-        assert scalar == batched
-        levels = {index for _, index in scalar[2][1000]}
+        organic, swept = run_twins(60.0, channel=channel, num_video=4)
+        assert organic == swept
+        levels = {index for _, index in organic[2][1000]}
         assert len(levels) > 1  # the ladder actually moved
 
     def test_client_caps_and_skimming(self):
         caps = {0: {"max_bitrate_bps": 0.5e6}, 1: {"skimming": True}}
-        scalar, batched = run_twins(client_kwargs=caps, num_video=3)
-        assert scalar == batched
+        organic, swept = run_twins(client_kwargs=caps, num_video=3)
+        assert organic == swept
 
     def test_infeasible_all_minimum_fallback(self):
         # 48 video flows at iTbs 0 cannot all fit their minimum ladder
         # rate into the RB budget: the solver's all-minimum fallback
         # (feasible=False, every flow at index 0) must replay exactly.
+        # 48 flows also put the kernel on its numpy vector lane.
         def channel(k):
             return StaticItbsChannel(0)
-        scalar, batched = run_twins(8.0, channel=channel, num_video=48,
-                                    num_data=0)
-        assert scalar == batched
-        solves, infeasible, _ = scalar[4]
+        organic, swept = run_twins(8.0, channel=channel, num_video=48,
+                                   num_data=0)
+        assert organic == swept
+        solves, infeasible, _ = organic[4]
         assert infeasible > 0 and infeasible == solves
-        for (_, _, _, indices, *_rest) in scalar[0]:
+        for (_, _, _, indices, *_rest) in organic[0]:
             assert all(index == 0 for _, index in indices)
 
     def test_ladder_shrink_clamps_levels(self):
         # Swapping a plugin's ladder for a shorter one mid-run forces
-        # clamp_index on a now-out-of-range level; refresh() must see
-        # the in-place swap (no revision tracks it) and rebuild.
+        # clamp_index on a now-out-of-range level at the next boundary.
         short = BitrateLadder.from_kbps((100, 250, 500))
 
         def shrink(cell, flare):
             flow_id = sorted(flare._plugins)[0]
             flare.plugin_for(flow_id).ladder = short
 
-        scalar, batched = run_twins(60.0, hooks=((30.0, shrink),))
-        assert scalar == batched
-        last = scalar[0][-1][3]
+        organic, swept = run_twins(60.0, hooks=((30.0, shrink),))
+        assert organic == swept
+        last = organic[0][-1][3]
         shrunk_levels = [index for _, index in last]
         assert min(shrunk_levels) <= 2  # the swapped flow is clamped
 
     def test_churn_between_bais(self):
         # Deregistering mid-run shrinks the problem; attaching a new
-        # client re-grows it.  Both bump plugin_rev/topology_rev, so
-        # the batched columns rebuild and stay identical.
+        # client re-grows it, right before a swept boundary.
         def depart(cell, flare):
             flow_id = sorted(flare._plugins)[0]
             flare.server.deregister_plugin(flow_id)
@@ -234,21 +196,20 @@ class TestSingleCellDifferential:
                                 mpd, PlayerConfig(request_threshold_s=12.0),
                                 flow_id=2000)
 
-        scalar, batched = run_twins(
+        organic, swept = run_twins(
             40.0, hooks=((10.0, depart), (20.0, arrive)))
-        assert scalar == batched
-        counts = [fact[1] for fact in scalar[0]]
+        assert organic == swept
+        counts = [fact[1] for fact in organic[0]]
         assert min(counts) < max(counts)  # churn actually happened
 
     def test_verdicts_identical_when_armed(self, tmp_path):
-        # Unarmed batched runs skip verdict materialization (a
-        # documented non-observable deviation); with a tracer armed
-        # the maps must match the scalar path field for field.
+        # With a tracer armed the verdict maps must match field for
+        # field (bai_facts leaves them out).
         verdict_maps = []
-        for batch in (False, True):
+        for sweep in (False, True):
             cell, flare, players = build_system()
-            with tracing(jsonl=str(tmp_path / f"t{batch}.jsonl")):
-                drive(cell, flare, 30.0, batch=batch)
+            with tracing(jsonl=str(tmp_path / f"t{sweep}.jsonl")):
+                drive(cell, flare, 30.0, sweep=sweep)
             verdict_maps.append([
                 dict(record.decision.verdicts)
                 for record in flare.server.records
@@ -256,73 +217,26 @@ class TestSingleCellDifferential:
         assert verdict_maps[0] == verdict_maps[1]
         assert any(verdict_maps[0])  # verdicts actually materialized
 
-    def test_unarmed_batched_run_skips_verdicts(self):
-        cell, flare, _ = build_system()
-        drive(cell, flare, 10.0, batch=True)
-        assert flare.server.records
-        assert all(not record.decision.verdicts
-                   for record in flare.server.records)
-
-    def test_scalar_path_not_engaged(self, monkeypatch):
-        calls = []
-        original = OneApiServer._run_interval
-
-        def spying(server, now_s, cell):
-            calls.append(now_s)
-            return original(server, now_s, cell)
-
-        monkeypatch.setattr(OneApiServer, "_run_interval", spying)
-        cell, flare, _ = build_system()
-        drive(cell, flare, 10.0, batch=True)
-        assert calls == []  # every boundary claimed by the sweep
-        assert flare.server.solve_count == 4
-
-        cell, flare, _ = build_system()
-        drive(cell, flare, 10.0, batch=False)
-        assert len(calls) == 4  # the organic path still fires
-
-    def test_unsupported_server_falls_back_to_scalar(self, monkeypatch):
-        # A subclassed server is outside the mirror's exact-type gate:
-        # the sweep must decline it and let it fire organically.
-        class TunedServer(OneApiServer):
-            pass
-
-        calls = []
-        original = OneApiServer._run_interval
-
-        def spying(server, now_s, cell):
-            calls.append(now_s)
-            return original(server, now_s, cell)
-
-        monkeypatch.setattr(OneApiServer, "_run_interval", spying)
-        cell, flare, players = build_system()
-        tuned = TunedServer(flare.algorithm,
-                            interval_s=flare.server.interval_s)
-        cell.remove_controller(flare.server)
-        cell.add_controller(tuned)
-        for plugin in flare._plugins.values():
-            tuned.register_plugin(plugin)
-        flare.server = tuned
-        drive(cell, flare, 10.0, batch=True)
-        assert len(calls) == 4
-        assert tuned.solve_count == 4
-
     def test_perturbed_batch_plane_is_detected(self, monkeypatch):
         """The differential harness has teeth.
 
-        A 0.1% relative skew injected into the batched EWMA column —
-        the kind of error a wrong dtype or a reordered reduction
-        produces — must break identity with the scalar twin.
+        A 0.1% relative skew injected into every cost estimate right
+        before the sweep fires — the kind of error a boundary that
+        reads stale or reordered state produces — must break identity
+        with the organic twin.
         """
-        scalar, _ = run_twins(30.0, checked=False)
+        organic, _ = run_twins(30.0, checked=False)
 
-        original = batch_mod._CellSlots.stage
+        original = BatchBaiPlane.sweep
 
-        def perturbing(slots):
-            slots.ewma = slots.ewma * (1.0 + 1e-3)
-            return original(slots)
+        def perturbing(plane, cells):
+            for cell in cells:
+                for controller, _ in cell._controllers:
+                    for ewma in controller._bpp_estimates.values():
+                        ewma._value *= 1.0 + 1e-3
+            return original(plane, cells)
 
-        monkeypatch.setattr(batch_mod._CellSlots, "stage", perturbing)
+        monkeypatch.setattr(BatchBaiPlane, "sweep", perturbing)
         cell, flare, players = build_system()
-        drive(cell, flare, 30.0, batch=True)
-        assert world_facts(cell, flare, players) != scalar
+        drive(cell, flare, 30.0, sweep=True)
+        assert world_facts(cell, flare, players) != organic

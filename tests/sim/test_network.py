@@ -13,12 +13,12 @@ healthy cell.
 
 import math
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro import check as chk
-from repro.core.batch import batch_bai_mode
 from repro.core.plugin import FlarePlugin
 from repro.has.player import PlaybackState
 from repro.metrics.serialize import dump_cell_report
@@ -76,29 +76,6 @@ class TestDifferentialMatrix:
         assert ref_net.records == bat_net.records == shard_net.records
         assert (ref_net.handover_count == bat_net.handover_count
                 == shard_net.handover_count)
-
-    def test_batched_bai_plane_off_is_byte_identical(self):
-        """The batched controller plane vs the scalar controller path.
-
-        The matrix above runs with the batched BAI plane engaged (the
-        default); this leg disables it (`REPRO_BATCH_BAI=0`) in every
-        execution mode and the reports must not move a byte — the
-        plane is a pure mirror, exercised here across handover churn
-        (column rebuilds) and sharded workers (env inheritance).
-        """
-        plan = small_plan(coupling_db=6.0)
-        with chk.checked_run():
-            on_net, batched_on = run_reports(plan, 30.0, shards=1)
-            with batch_bai_mode(False):
-                with kernel_mode(False):
-                    _, lockstep_off = run_reports(plan, 30.0,
-                                                  lockstep=True)
-                off_net, batched_off = run_reports(plan, 30.0, shards=1)
-                _, sharded_off = run_reports(plan, 30.0, shards=2)
-        assert batched_on == batched_off
-        assert batched_off == lockstep_off == sharded_off
-        assert on_net.records == off_net.records
-        assert on_net.handover_count == off_net.handover_count > 0
 
     def test_handovers_actually_happen(self):
         network, _ = run_reports(small_plan(coupling_db=6.0), 30.0)
@@ -174,7 +151,55 @@ class TestObservabilityParity:
         assert not list(tmp_path.glob("shard.jsonl.netshard*"))
 
 
+class FifoPool:
+    """In-process stand-in for ``ShardPool``'s ``send``/``recv``.
+
+    Each request runs on its shard object when sent and its reply
+    queues per shard, first in, first out — the order contract the
+    real pool's pipes give.
+    """
+
+    def __init__(self, shards):
+        self.shards = shards
+        self.replies = [deque() for _ in shards]
+
+    def send(self, shard, method, *args):
+        self.replies[shard].append(
+            getattr(self.shards[shard], method)(*args))
+
+    def recv(self, shard):
+        return self.replies[shard].popleft()
+
+
 class TestHandoverSemantics:
+    def test_sharded_arrivals_keep_directive_order(self):
+        """Sharded arrivals attach in UE-id order, as ``shards=1`` does.
+
+        UE 0 crosses from cell 3 (shard 1) into cell 1 and UE 1 moves
+        from cell 0 into cell 1 within shard 0 at the same boundary;
+        slot order feeds the scheduler's float sums, so any other
+        order changes the reports.
+        """
+        plan = build_metro_plan(num_cells=4, ues_per_cell=2,
+                                scheme="flare", seed=0)
+        directives = [(0, 3, 1), (1, 0, 1)]
+        network = Network(plan)
+        local = NetworkShard(plan, [0, 1, 2, 3])
+        network._apply_directives(directives, 0.0,
+                                  dict.fromkeys(range(4), 0), None, local)
+        expected = [flow.flow_id
+                    for flow in local.built(1).cell.video_flows()]
+
+        network = Network(plan)
+        shards = [NetworkShard(plan, [0, 1]), NetworkShard(plan, [2, 3])]
+        network._apply_directives(directives, 0.0,
+                                  {0: 0, 1: 0, 2: 1, 3: 1},
+                                  FifoPool(shards), None)
+        arrived = [flow.flow_id
+                   for flow in shards[0].built(1).cell.video_flows()]
+        assert arrived == expected
+        assert expected[-2:] == [plan.ues[0].flow_id, plan.ues[1].flow_id]
+
     def test_handovers_land_on_epoch_boundaries(self):
         plan = small_plan()
         network = Network(plan)

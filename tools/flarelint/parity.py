@@ -82,53 +82,6 @@ ALLOWLIST_NAME = "KERNEL_UNMIRRORED"
 
 
 @dataclass(frozen=True)
-class Surface:
-    """One scalar-path/mirror pair the analyzer proves coverage for.
-
-    The repo has two such pairs: the TTI fast path (object path vs
-    :class:`~repro.sim.kernel.TtiKernel`) and the batched BAI
-    controller plane (scalar controller stack vs
-    :mod:`repro.core.batch`).  Each carries its own allowlist literal
-    inside its mirror module.
-    """
-
-    name: str
-    scalar_modules: tuple[str, ...]
-    kernel_module: str
-    kernel_classes: tuple[str, ...]
-    allowlist_name: str
-
-
-#: The TTI fast path: per-flow/per-cell hot state vs TtiKernel SoA.
-KERNEL_SURFACE = Surface(
-    name="tti-kernel",
-    scalar_modules=SCALAR_MODULES,
-    kernel_module=KERNEL_MODULE,
-    kernel_classes=KERNEL_CLASSES,
-    allowlist_name=ALLOWLIST_NAME,
-)
-
-#: The batched BAI controller plane: the scalar controller stack
-#: (OneAPI server, Algorithm 1, FLARE plugin, MCKP solver) vs the
-#: struct-of-arrays mirror in ``repro/core/batch.py``.
-BATCH_SURFACE = Surface(
-    name="batch-bai",
-    scalar_modules=(
-        "repro/core/oneapi.py",
-        "repro/core/algorithm1.py",
-        "repro/core/plugin.py",
-        "repro/core/optimizer.py",
-    ),
-    kernel_module="repro/core/batch.py",
-    kernel_classes=("_CellSlots", "BatchBaiPlane"),
-    allowlist_name="BATCH_UNMIRRORED",
-)
-
-#: Surfaces the default CLI invocation proves, in order.
-SURFACES = (KERNEL_SURFACE, BATCH_SURFACE)
-
-
-@dataclass(frozen=True)
 class MutatedAttr:
     """One scalar-side mutated attribute."""
 
@@ -167,7 +120,6 @@ def analyze(source_root: pathlib.Path,
             scalar_modules: Sequence[str] = SCALAR_MODULES,
             kernel_module: str = KERNEL_MODULE,
             kernel_classes: Sequence[str] = KERNEL_CLASSES,
-            allowlist_name: str = ALLOWLIST_NAME,
             ) -> tuple[list[Finding], dict]:
     """Run the parity analysis -> (findings, coverage report dict)."""
     kernel_path = source_root / kernel_module
@@ -178,7 +130,7 @@ def analyze(source_root: pathlib.Path,
 
     findings: list[Finding] = []
     try:
-        allowlist = parse_literal_str_dict(kernel_tree, allowlist_name)
+        allowlist = parse_literal_str_dict(kernel_tree, ALLOWLIST_NAME)
     except ValueError as exc:
         allowlist = {}
         findings.append(Finding(
@@ -187,7 +139,7 @@ def analyze(source_root: pathlib.Path,
         allowlist = {}
         findings.append(Finding(
             str(kernel_path), 1, 0, "FL102",
-            f"kernel module defines no literal {allowlist_name} dict; "
+            f"kernel module defines no literal {ALLOWLIST_NAME} dict; "
             f"the mirror-coverage allowlist is required",
         ))
 
@@ -203,7 +155,7 @@ def analyze(source_root: pathlib.Path,
             if m.key in allowlist:
                 findings.append(Finding(
                     str(source_root / kernel_module), 1, 0, "FL101",
-                    f"stale {allowlist_name} entry '{m.key}': the "
+                    f"stale {ALLOWLIST_NAME} entry '{m.key}': the "
                     f"attribute is now a maintained kernel mirror "
                     f"(gather+flush); remove the entry",
                 ))
@@ -213,17 +165,17 @@ def analyze(source_root: pathlib.Path,
             unexplained.append(m)
             findings.append(Finding(
                 str(source_root / m.module), m.line, 0, "FL100",
-                f"{m.key} is mutated by the scalar object path but "
-                f"has no maintained mirror (gather+flush) in "
-                f"{kernel_module} and no {allowlist_name} entry; "
-                f"mirror it or allowlist it with a reason",
+                f"{m.key} is mutated by the scalar object path but has "
+                f"no TtiKernel mirror (gather+flush) and no "
+                f"{ALLOWLIST_NAME} entry; mirror it or allowlist it "
+                f"with a reason",
             ))
 
     for key in sorted(allowlist):
         if key not in mutated_keys:
             findings.append(Finding(
                 str(source_root / kernel_module), 1, 0, "FL101",
-                f"stale {allowlist_name} entry '{key}': no scalar "
+                f"stale {ALLOWLIST_NAME} entry '{key}': no scalar "
                 f"module mutates this attribute any more; remove the "
                 f"entry",
             ))
@@ -231,7 +183,6 @@ def analyze(source_root: pathlib.Path,
     report = {
         "source_root": str(source_root),
         "kernel_module": kernel_module,
-        "allowlist_name": allowlist_name,
         "scalar_modules": list(scalar_modules),
         "mirrored_attrs": {
             attr: {
@@ -257,51 +208,6 @@ def analyze(source_root: pathlib.Path,
     return sorted(findings), report
 
 
-def analyze_surfaces(source_root: pathlib.Path,
-                     surfaces: Sequence[Surface] = SURFACES,
-                     ) -> tuple[list[Finding], dict]:
-    """Run every surface -> (merged findings, merged coverage report).
-
-    The merged report keeps the historical top-level shape (aggregate
-    ``counts``, union ``mirrored_attrs``/``covered``/``allowlisted``/
-    ``unexplained``) and adds a ``surfaces`` section with each
-    surface's full report keyed by its name.
-    """
-    all_findings: list[Finding] = []
-    per_surface: dict[str, dict] = {}
-    merged: dict = {
-        "source_root": str(source_root),
-        "mirrored_attrs": {},
-        "covered": [],
-        "allowlisted": {},
-        "unexplained": [],
-        "counts": {
-            "mutated_attrs": 0,
-            "covered": 0,
-            "allowlisted": 0,
-            "unexplained": 0,
-            "kernel_mirrors": 0,
-            "findings": 0,
-        },
-    }
-    for surface in surfaces:
-        findings, report = analyze(
-            source_root, surface.scalar_modules, surface.kernel_module,
-            surface.kernel_classes, surface.allowlist_name)
-        all_findings.extend(findings)
-        per_surface[surface.name] = report
-        merged["mirrored_attrs"].update(report["mirrored_attrs"])
-        merged["covered"].extend(report["covered"])
-        merged["allowlisted"].update(report["allowlisted"])
-        merged["unexplained"].extend(report["unexplained"])
-        for key, value in report["counts"].items():
-            merged["counts"][key] += value
-    merged["covered"].sort()
-    merged["unexplained"].sort()
-    merged["surfaces"] = per_surface
-    return sorted(all_findings), merged
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI driver; exit 0 clean / 1 findings / 2 parse failure."""
     parser = argparse.ArgumentParser(
@@ -324,10 +230,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=list(KERNEL_CLASSES), metavar="CLASS",
                         help="kernel class(es) forming the mirror "
                              "surface")
-    parser.add_argument("--allowlist-name", default=ALLOWLIST_NAME,
-                        metavar="NAME",
-                        help="name of the allowlist dict literal in "
-                             "the kernel module")
     parser.add_argument("--report", type=pathlib.Path, default=None,
                         metavar="FILE",
                         help="write the JSON mirror-coverage report "
@@ -337,36 +239,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="finding output format")
     args = parser.parse_args(argv)
 
-    custom = (args.scalar is not None
-              or args.kernel != KERNEL_MODULE
-              or args.kernel_class != list(KERNEL_CLASSES)
-              or args.allowlist_name != ALLOWLIST_NAME)
-    if custom:
-        surfaces: tuple[Surface, ...] = (Surface(
-            name="custom",
-            scalar_modules=(tuple(args.scalar) if args.scalar
-                            else SCALAR_MODULES),
-            kernel_module=args.kernel,
-            kernel_classes=tuple(args.kernel_class),
-            allowlist_name=args.allowlist_name,
-        ),)
-    else:
-        surfaces = SURFACES
-    for surface in surfaces:
-        for module in (*surface.scalar_modules, surface.kernel_module):
-            if not (args.source_root / module).is_file():
-                print(f"parity: no such module: "
-                      f"{args.source_root / module}", file=sys.stderr)
-                return 2
+    scalar = tuple(args.scalar) if args.scalar else SCALAR_MODULES
+    for module in (*scalar, args.kernel):
+        if not (args.source_root / module).is_file():
+            print(f"parity: no such module: "
+                  f"{args.source_root / module}", file=sys.stderr)
+            return 2
     try:
-        if custom:
-            findings, report = analyze(
-                args.source_root, surfaces[0].scalar_modules,
-                surfaces[0].kernel_module, surfaces[0].kernel_classes,
-                surfaces[0].allowlist_name)
-        else:
-            findings, report = analyze_surfaces(args.source_root,
-                                                surfaces)
+        findings, report = analyze(args.source_root, scalar,
+                                   args.kernel,
+                                   tuple(args.kernel_class))
     except SyntaxError as exc:
         print(f"parity: parse error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Micro-benchmarks for the TTI hot-loop stages.
 
-Four micro-kernels:
+Five micro-kernels:
 
 * ``sched`` — ``PrioritySetScheduler.allocate`` over N backlogged
   data flows: the GBR phase, the proportional-fair waterfill and the
@@ -17,12 +17,10 @@ Four micro-kernels:
   16-cell metro shard with N attached UEs: the per-epoch health
   rollup the telemetry plane collects (stall/BAI cursors, ladder
   lookups), at N = 256 / 1024 / 4096.
-* ``bai`` / ``bai_scalar`` — one BAI controller boundary (usage
-  consumption, FlowSpec assembly, the MCKP solve, hysteresis and
-  enforcement) over N FLARE flows spread across 1 or 16 cells:
-  ``bai`` drives the batched struct-of-arrays sweep
-  (``repro.core.batch``), ``bai_scalar`` the per-flow scalar path it
-  mirrors.  N = 16 / 256 / 2048; result keys are ``NxC``.
+* ``bai_scalar`` — one BAI controller boundary (usage consumption,
+  FlowSpec assembly, the MCKP solve, hysteresis and enforcement) over
+  N FLARE flows spread across 1 or 16 cells, through the scalar
+  controller.  N = 16 / 256 / 2048; result keys are ``NxC``.
 
 ``sched`` and ``chain`` run at N = 16 / 256 / 2048.  Each
 (kernel, N) cell runs a fixed amount of total work (the step count
@@ -51,7 +49,6 @@ import time
 
 import numpy as np
 
-from repro.core.batch import BatchBaiPlane
 from repro.core.controller import FlareSystem
 from repro.experiments.bench import measure, write_bench_json
 from repro.has.mpd import SIMULATION_LADDER, MediaPresentation
@@ -98,11 +95,12 @@ WORK_UNITS = 81_920
 #: Total channel-epochs per ``itbs`` measurement (epochs × N).
 ITBS_WORK_UNITS = 100_000
 
-#: (total flows, cells) shapes the BAI boundary kernels run at.
+#: (total flows, cells) shapes the BAI boundary kernel runs at.
 BAI_SHAPES = ((16, 1), (256, 1), (2048, 1),
               (16, 16), (256, 16), (2048, 16))
 
-#: Total flow-boundaries per ``bai`` measurement (boundaries × N).
+#: Total flow-boundaries per ``bai_scalar`` measurement
+#: (boundaries × N).
 BAI_WORK_UNITS = 8_192
 
 STEP_S = 0.02
@@ -213,7 +211,7 @@ def bench_bai_scalar(shape: tuple[int, int], steps: int) -> float:
 
     The cells never advance, so each boundary measures pure controller
     work: the usage hand-off is empty and every cost falls back to the
-    flow's channel estimate, identically in both BAI kernels.
+    flow's channel estimate.
     """
     total, num_cells = shape
     pairs = _bai_world(total, num_cells)
@@ -223,22 +221,6 @@ def bench_bai_scalar(shape: tuple[int, int], steps: int) -> float:
         for server, cell in pairs:
             server.on_interval(now, cell)
         now += EPOCH_S
-    return time.perf_counter() - started
-
-
-def bench_bai(shape: tuple[int, int], steps: int) -> float:
-    """Batched BAI boundaries: one vectorized sweep over all cells."""
-    total, num_cells = shape
-    pairs = _bai_world(total, num_cells)
-    plane = BatchBaiPlane()
-    cells = [cell for _, cell in pairs]
-    dues = [next_due
-            for cell in cells for _, next_due in cell._controllers]
-    started = time.perf_counter()
-    for _ in range(steps):
-        for next_due in dues:
-            next_due[0] = 0.0  # re-arm every boundary at now_s = 0
-        plane.sweep(cells)
     return time.perf_counter() - started
 
 
@@ -300,7 +282,6 @@ KERNELS = {
     "itbs": (bench_itbs, ITBS_POPULATIONS, ITBS_WORK_UNITS),
     "telemetry": (bench_telemetry, TELEMETRY_POPULATIONS,
                   TELEMETRY_WORK_UNITS),
-    "bai": (bench_bai, BAI_SHAPES, BAI_WORK_UNITS),
     "bai_scalar": (bench_bai_scalar, BAI_SHAPES, BAI_WORK_UNITS),
 }
 
