@@ -12,6 +12,7 @@ one client gets everything.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
 
@@ -27,6 +28,13 @@ def jain_index(values: Sequence[float]) -> float:
         raise ValueError("jain_index requires non-negative values")
     total = sum(values)
     squares = sum(v * v for v in values)
+    if squares < sys.float_info.min and total > 0:
+        # The squares underflowed to subnormals or zero.  The index is
+        # scale-invariant, so rescale by the maximum and square again.
+        peak = max(values)
+        values = [v / peak for v in values]
+        total = sum(values)
+        squares = sum(v * v for v in values)
     if squares == 0:
         return 1.0  # everyone got exactly zero: perfectly (vacuously) fair
     return (total * total) / (len(values) * squares)

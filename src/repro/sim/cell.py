@@ -322,12 +322,12 @@ class Cell:
 
     def step(self) -> None:
         """Advance the simulation by one fluid MAC step."""
-        kernel = self._active_kernel()
-        if kernel is not None and kernel.step():
-            return
         now = self._now_s
         step_s = self.config.step_s
         end = now + step_s
+        kernel = self._active_kernel()
+        if kernel is not None and kernel.run(end):
+            return
 
         profiler = prof.PROFILER
         if profiler is not None:

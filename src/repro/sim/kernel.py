@@ -3,20 +3,19 @@
 The object-graph step loop in :mod:`repro.sim.cell` is the paper's
 architecture made literal — flows, bearers, TCP models and players are
 objects, and every fluid MAC step walks them through method calls.
-That is the right shape for correctness work, but the PR-4 profiler
-shows the per-step call overhead dominating wall time long before the
+That is the right shape for correctness work, but profiling shows
+the per-step call overhead dominating wall time long before the
 arithmetic does, which caps how many UEs a study can simulate.
 
 :class:`TtiKernel` is the same step, restructured.  Per-flow hot state
 (congestion windows, delivered-byte totals, PF served averages, RB
 trace accumulators, GBR/MBR byte budgets, per-UE channel working
 points) is mirrored into flat parallel arrays — one slot per flow, in
-attachment order — and one fused function computes the channel→TBS
-chain, both Priority Set scheduling phases (GBR pass + proportional-
-fair waterfill) and MAC delivery over those arrays.  Cyclic-channel
-populations are evaluated as one batched array operation (numpy when
-importable, a plain loop over the same ``array('d')`` parameter blocks
-otherwise).  Results are flushed back into the existing ``Flow`` /
+attachment order — and one fused, event-driven step (``_step_fast``)
+computes the channel→TBS chain, both Priority Set scheduling phases
+(GBR pass + proportional-fair waterfill), MAC delivery and playback
+over those arrays, touching only the flows and players that can act
+this step.  Results are flushed back into the existing ``Flow`` /
 ``Allocation`` / ``RbTraceModule`` objects at every observation
 boundary, so everything outside the hot loop keeps seeing the object
 world it was written against.
@@ -25,13 +24,22 @@ world it was written against.
 *observation boundary*; array state is authoritative strictly between
 them.  Boundaries are: interval-controller firings, segment-completion
 callbacks, step hooks, public ``Cell.step()`` returns, and the end of
-``Cell.run()``.  The kernel flushes mirrors to objects immediately
-before each boundary and reloads them immediately after, so controller
-code, ABR callbacks, tests and metrics collectors never observe a
-stale object.  Anything the kernel cannot faithfully mirror (a custom
-scheduler, flow, TCP or player subclass) makes the cell fall back to
-the object path for the whole run — silently, and detectably via
+``Cell.run()``.  :meth:`TtiKernel.run` fires due controllers and step
+hooks itself, around the fused step: it flushes mirrors to objects
+immediately before each boundary and reloads them immediately after,
+so controller code, ABR callbacks, tests and metrics collectors never
+observe a stale object.  Anything the kernel cannot faithfully mirror
+(a custom scheduler, flow, TCP or player subclass, or a channel with
+its own ``bytes_per_prb_at``) makes the cell fall back to the object
+path for the whole run — silently, and detectably via
 :attr:`TtiKernel.active`.
+
+**Observability.**  An installed tracer or invariant sanitizer makes
+the kernel decline, so the object path runs instead: it emits every
+per-step event and runs every per-step check, and it is the reference
+the differential tests compare the kernel against.  An installed
+profiler leaves the path alone; each :meth:`TtiKernel.run` call is one
+``sim.kernel.run`` span.
 
 **Exactness.**  The kernel is differentially tested to produce
 *byte-identical* serialized ``CellReport``s to the object path.  Every
@@ -45,9 +53,9 @@ change, the differential tests in ``tests/sim/test_kernel.py`` fail.
 
 **Idle fast-forward.**  When no flow is backlogged and nothing is due
 — every player finished or not yet started, every TCP window already
-collapsed to its restart value, no tracer, no step hooks — the kernel
-advances the clock in one stride to the next controller deadline,
-player start time or run end instead of stepping empty TTIs.  The one
+collapsed to its restart value, no step hooks — the kernel advances
+the clock in one stride to the next controller deadline, player start
+time or run end instead of stepping empty TTIs.  The one
 intentionally unmirrored quantity is ``FluidTcp._idle_for_s``, which
 would keep growing past ``idle_reset_s`` during skipped steps; its
 magnitude above the reset threshold is unobservable (the window is
@@ -61,7 +69,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from bisect import insort
 from contextlib import contextmanager
 from collections.abc import Iterator, Sequence
@@ -75,7 +82,6 @@ from repro.mac.priority_set import PrioritySetScheduler
 from repro.mac.rb_trace import RbTraceModule
 from repro.net.flows import DataFlow, Flow, VideoFlow
 from repro.net.tcp import FluidTcp
-from repro.obs import events as obs_events
 from repro.obs import prof
 from repro.obs import tracer as obs
 from repro.phy.channel import (
@@ -83,12 +89,7 @@ from repro.phy.channel import (
     CyclicItbsChannel,
     StaticItbsChannel,
 )
-from repro.phy.tbs import (
-    BYTES_PER_PRB_TABLE,
-    MAX_ITBS,
-    MIN_ITBS,
-    validate_itbs,
-)
+from repro.phy.tbs import BYTES_PER_PRB_TABLE, validate_itbs
 from repro.sim.engine import earliest_due
 from repro.util import require_positive, sequential_replay
 
@@ -112,23 +113,18 @@ _DISABLED_VALUES = frozenset({"0", "false", "off", "no"})
 #: :func:`kernel_mode`); mirrors the ``full_mode`` pattern.
 _FORCED: Optional[bool] = None
 
-#: Minimum cyclic-channel population for the batched numpy evaluation;
-#: below this the per-slot loop wins (no array round-trip overhead).
-MIN_BULK_CYCLIC = 32
-
 # Per-slot channel evaluation strategies.
 _CONST = 0    # StaticItbsChannel: bytes/PRB is a constant
 _PLAIN = 1    # base-class bytes_per_prb_at: itbs_at() + table lookup
-_GENERIC = 2  # channel overrides bytes_per_prb_at: call it
-_CYCLIC = 3   # CyclicItbsChannel: batched triangular sweep
+_CYCLIC = 2   # CyclicItbsChannel: inlined triangular sweep
 # Primed per-epoch iTbs tables (duck-typed via KERNEL_PRIMED_ITBS, see
 # repro.sim.network.MetroChannel): refreshed once per fading bucket
 # instead of one itbs_at() call per slot per step.
-_TABLE = 4
+_TABLE = 3
 
 # Lazy-playback classes for the event-driven fast step (_step_fast).
 # A HOT player is processed scalarly every step, exactly like
-# ``_step_once`` would; the other classes are provably-inert stretches
+# ``Cell.step`` does; the other classes are provably-inert stretches
 # whose per-step effects are replayed (with the same float operations,
 # in the same order) when the player is next observed.
 _PL_HOT = 0    # per-step scalar processing
@@ -288,11 +284,11 @@ def kernel_mode(enabled: bool) -> Iterator[None]:
 class TtiKernel:
     """Struct-of-arrays fast path for one :class:`~repro.sim.cell.Cell`.
 
-    Create one per cell (the cell does this lazily); call :meth:`step`
-    or :meth:`run`.  Both return ``False`` — with object state left
+    Create one per cell (the cell does this lazily) and call
+    :meth:`run`.  It returns ``False`` — with object state left
     authoritative — when the cell's configuration is outside the
-    kernel's supported envelope, in which case the caller runs the
-    object path instead.
+    kernel's supported envelope or a tracer or sanitizer is installed,
+    in which case the caller runs the object path instead.
     """
 
     def __init__(self, cell: Cell) -> None:
@@ -312,12 +308,9 @@ class TtiKernel:
         # Per-slot static structure (rebuilt on topology change).
         self._flows: list[Flow] = []
         self._flow_ids: list[int] = []
-        self._ue_ids: list[int] = []
-        self._kind_values: list[str] = []
         self._videos: list[Optional[VideoFlow]] = []
         self._channels: list[ChannelModel] = []
         self._ch_mode: list[int] = []
-        self._const_itbs: list[int] = []
         self._const_bpp: list[float] = []
         self._tcps: list[FluidTcp] = []
         # Per-slot TCP constants (hoisted, never re-associated).
@@ -349,16 +342,15 @@ class TtiKernel:
         self._gbr_slots: list[tuple[int, float]] = []
         self._gbr_rank: list[int] = []
         self._gbr_rate: list[float] = []
-        # Cyclic-channel parameter blocks (array('d') so numpy can view
-        # them zero-copy via frombuffer; the no-numpy fallback loops
-        # over the same buffers).
+        # Cyclic-channel sweep parameters, indexed by position in
+        # ``_cyc_slots`` (the fast step evaluates each active slot's
+        # sweep inline).
         self._cyc_slots: list[int] = []
-        self._cyc_off = array("d")
-        self._cyc_cycle = array("d")
-        self._cyc_lo = array("d")
-        self._cyc_hi = array("d")
-        self._cyc_span = array("d")
-        self._cyc_itbs: list[int] = []
+        self._cyc_off: list[float] = []
+        self._cyc_cycle: list[float] = []
+        self._cyc_lo: list[float] = []
+        self._cyc_hi: list[float] = []
+        self._cyc_span: list[float] = []
         # Primed-table channels: refreshed once per fading bucket.
         self._tbl_slots: list[int] = []
         self._tbl_channels: list[Any] = []
@@ -372,17 +364,16 @@ class TtiKernel:
         self._demand: list[float] = []
         self._alloc_prbs: list[float] = []
         self._alloc_bytes: list[float] = []
-        self._alloc_gbr: list[float] = []
-        self._gbr_granted: list[bool] = []
         # Single-load bundle of the per-slot arrays (see _rebuild).
         self._hot: tuple[list[Any], ...] = ()
         # Event-driven fast-step state (see _step_fast).  ``_fast_steps``
         # counts completed fast steps; lazy players and idle TCP slots
         # record the counter value they are synchronised through, and
         # the difference is the number of owed per-step effects to
-        # replay at the next observation.
-        self._fast_modes_ok = False
+        # replay at the next observation.  ``_lazy_ok`` gates parking
+        # players lazily; :meth:`run` sets it once per call.
         self._fast_steps = 0
+        self._lazy_ok = False
         self._act_slots: list[int] = []      # sorted maybe-backlogged slots
         self._act_member: list[bool] = []
         self._act_stale = True
@@ -448,44 +439,59 @@ class TtiKernel:
     # ------------------------------------------------------------------
     # Public driving API (called by the cell)
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Advance one fluid step on the fast path.
-
-        Returns ``False`` (objects authoritative, nothing advanced
-        beyond already-fired controllers) when unsupported.
-        """
-        if not self._enter():
-            return False
-        while not self._step_once():
-            if not self._sync():
-                return False
-        self.flush()
-        return True
-
     def run(self, duration_s: float) -> bool:
-        """Drive the whole run loop on the fast path.
+        """Advance the cell to ``duration_s`` on the fast path.
 
-        Returns ``False`` when the configuration is (or mid-run
-        becomes) unsupported; the caller's object loop continues from
-        the current ``now_s``.
+        Due interval controllers and step hooks fire here, as
+        observation boundaries around each fused step.  Returns
+        ``False`` — objects authoritative, nothing advanced beyond
+        already-fired controllers — when a tracer or sanitizer is
+        installed or the configuration is (or mid-run becomes)
+        unsupported; the caller's object loop continues from the
+        current ``now_s``.
         """
         if not self._enter():
             return False
+        profiler = prof.PROFILER
+        if profiler is not None:
+            profiler.begin("sim.kernel.run")
+        done = self._advance(duration_s)
+        if profiler is not None:
+            profiler.end()
+        return done
+
+    def _advance(self, duration_s: float) -> bool:
+        """The run loop behind :meth:`run` (mirrors loaded on entry)."""
         cell = self._cell
         end_gate = duration_s - 1e-9
+        # A lazily parked player pays off only if it stays parked: a
+        # run of a few steps, or a step hook's per-step flush, would
+        # replay it at once.
+        self._lazy_ok = (not cell._step_hooks and end_gate - cell._now_s
+                         > _MIN_LAZY * self._step_s)
         # Bearer-registry changes can only originate at observation
         # boundaries (controller fires, completion callbacks, step
-        # hooks), and ``_step_once`` resyncs after each of those — so
-        # the loop here checks only for topology/scheduler changes.
+        # hooks), each of which resyncs — so the loop top checks only
+        # for topology/scheduler changes.
         while cell._now_s < end_gate:
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
                     return False
             if self._last_idle and self._try_fast_forward(end_gate):
                 continue
-            if self._fast_modes_ok and self._step_fast():
-                continue
-            self._step_once()
+            if earliest_due(cell._controllers) <= cell._now_s + 1e-12:
+                self.flush()
+                cell._fire_due_controllers()
+                if self._dirty or cell.scheduler is not self._sched_obj:
+                    continue
+                self._reload_boundary()
+            self._step_fast()
+            if cell._step_hooks:
+                self.flush()
+                for hook in cell._step_hooks:
+                    hook(cell._now_s)
+                if not self._dirty:
+                    self._reload_boundary()
         self.flush()
         return True
 
@@ -567,7 +573,13 @@ class TtiKernel:
     # Synchronisation
     # ------------------------------------------------------------------
     def _enter(self) -> bool:
-        """Public-boundary entry: objects are authoritative here."""
+        """Public-boundary entry: objects are authoritative here.
+
+        Declines while a tracer or sanitizer is installed: the object
+        path emits every per-step event and runs every per-step check.
+        """
+        if obs.TRACER is not None or chk.CHECKER is not None:
+            return False
         if not self._sync():
             return False
         self._reload_mutable()
@@ -576,6 +588,12 @@ class TtiKernel:
         # be re-read on the first step of every entry.
         self._tbl_bucket = None
         return True
+
+    def _reload_boundary(self) -> None:
+        """Re-arm the mirrors after boundary code ran on the objects."""
+        if self._cell.registry.version != self._reg_version:
+            self._resync_registry()
+        self._reload_mutable()
 
     def _sync(self) -> bool:
         """Ensure mirrors match the current topology; rebuild if not."""
@@ -614,6 +632,11 @@ class TtiKernel:
                 return False
             if type(flow.tcp) is not FluidTcp:
                 return False
+            if (type(flow.ue.channel).bytes_per_prb_at
+                    is not ChannelModel.bytes_per_prb_at):
+                # A channel with its own bytes_per_prb_at (OutageChannel)
+                # is outside the TBS-table chain the step inlines.
+                return False
             if flow.flow_id in cell._players:
                 players_seen += 1
         if players_seen != len(cell._players):
@@ -640,8 +663,6 @@ class TtiKernel:
         self._n = n
         self._sched_obj = sched
         self._flow_ids = [flow.flow_id for flow in flows]
-        self._ue_ids = [flow.ue.ue_id for flow in flows]
-        self._kind_values = [flow.kind.value for flow in flows]
         self._videos = [flow if type(flow) is VideoFlow else None
                         for flow in flows]
         step_s = self._step_s
@@ -653,15 +674,14 @@ class TtiKernel:
         self._max_cwnd = [tcp._max_cwnd for tcp in self._tcps]
         self._idle_reset = [tcp.idle_reset_s for tcp in self._tcps]
         self._channels = [flow.ue.channel for flow in flows]
-        self._ch_mode = [0] * n
-        self._const_itbs = [0] * n
+        self._ch_mode = [_PLAIN] * n
         self._const_bpp = [0.0] * n
         self._cyc_slots = []
-        self._cyc_off = array("d")
-        self._cyc_cycle = array("d")
-        self._cyc_lo = array("d")
-        self._cyc_hi = array("d")
-        self._cyc_span = array("d")
+        self._cyc_off = []
+        self._cyc_cycle = []
+        self._cyc_lo = []
+        self._cyc_hi = []
+        self._cyc_span = []
         self._tbl_slots = []
         self._tbl_channels = []
         self._tbl_period = 0.0
@@ -669,7 +689,6 @@ class TtiKernel:
         for i, channel in enumerate(self._channels):
             if type(channel) is StaticItbsChannel:
                 self._ch_mode[i] = _CONST
-                self._const_itbs[i] = channel._itbs
                 self._const_bpp[i] = BYTES_PER_PRB_TABLE[channel._itbs]
             elif type(channel) is CyclicItbsChannel:
                 self._ch_mode[i] = _CYCLIC
@@ -683,12 +702,6 @@ class TtiKernel:
                 self._ch_mode[i] = _TABLE
                 self._tbl_slots.append(i)
                 self._tbl_channels.append(channel)
-            elif (type(channel).bytes_per_prb_at
-                  is ChannelModel.bytes_per_prb_at):
-                self._ch_mode[i] = _PLAIN
-            else:
-                self._ch_mode[i] = _GENERIC
-        self._cyc_itbs = [0] * len(self._cyc_slots)
         self._tbl_itbs = [0] * len(self._tbl_slots)
         self._zeros = [0.0] * n
         self._bpp = [0.0] * n
@@ -696,8 +709,6 @@ class TtiKernel:
         self._demand = [0.0] * n
         self._alloc_prbs = [0.0] * n
         self._alloc_bytes = [0.0] * n
-        self._alloc_gbr = [0.0] * n
-        self._gbr_granted = [False] * n
         self._cwnd = [0.0] * n
         self._idle = [0.0] * n
         self._totals = [0.0] * n
@@ -711,10 +722,7 @@ class TtiKernel:
         self._cum_seen = [False] * n
         self._dirty = False
         self._ready = True
-        # Event-driven fast-step maps and state.  Stateful _GENERIC
-        # channels must see one bytes_per_prb_at() call per step, which
-        # only the reference step guarantees.
-        self._fast_modes_ok = _GENERIC not in self._ch_mode
+        # Event-driven fast-step maps and state.
         self._fast_steps = 0
         self._act_stale = True
         self._act_slots = []
@@ -740,17 +748,17 @@ class TtiKernel:
         self._pl_wake_min = math.inf
         self._resync_registry()
         self._reload_mutable()
-        # One-load bundle of every per-slot array the fused step touches
-        # each step; ``_step_once`` unpacks it in a single statement
-        # instead of ~30 attribute loads per step.  Everything in here
-        # is mutated in place (never rebound) until the next rebuild.
+        # One-load bundle of every per-slot array the scalar MAC phase
+        # of ``_step_fast`` touches; it unpacks them in a single
+        # statement instead of ~25 attribute loads per step.  Everything
+        # in here is mutated in place (never rebound) until the next
+        # rebuild.
         self._hot = (
             self._ch_mode, self._const_bpp, self._bpp, self._wanted,
             self._demand, self._videos, self._channels, self._cwnd,
             self._step_over_rtt, self._mbr_cap, self._pf_avg,
             self._pf_seen, self._alloc_prbs, self._alloc_bytes,
-            self._alloc_gbr, self._gbr_granted, self._zeros,
-            self._totals, self._idle, self._idle_reset, self._init_cwnd,
+            self._zeros, self._totals, self._idle, self._init_cwnd,
             self._max_cwnd, self._growth, self._rtt_over_step,
             self._int_prbs, self._int_bytes, self._cum_prbs,
             self._cum_bytes, self._int_seen, self._cum_seen,
@@ -773,16 +781,14 @@ class TtiKernel:
         Duck-typed against :class:`~repro.sim.network.MetroChannel`
         (this module cannot import the network layer): the channel
         type must expose ``KERNEL_PRIMED_ITBS`` *identical to* its own
-        ``itbs_at`` — a subclass overriding ``itbs_at`` (or
-        ``bytes_per_prb_at``) breaks the identity and falls back to
-        the per-step scalar path — and all table channels of a cell
-        must share one fading period so one bucket grid covers them.
+        ``itbs_at`` — a subclass overriding ``itbs_at`` breaks the
+        identity and falls back to the per-slot ``_PLAIN`` path — and
+        all table channels of a cell must share one fading period so
+        one bucket grid covers them.
         """
         channel_type = type(channel)
         primed_ref = getattr(channel_type, "KERNEL_PRIMED_ITBS", None)
         if primed_ref is None or primed_ref is not channel_type.itbs_at:
-            return False
-        if channel_type.bytes_per_prb_at is not ChannelModel.bytes_per_prb_at:
             return False
         period = getattr(channel, "fading_period_s", None)
         if not isinstance(period, float) or period <= 0.0:
@@ -869,15 +875,12 @@ class TtiKernel:
         """Stride the clock over provably-empty steps.
 
         Returns True when at least one step was skipped.  Refuses
-        whenever any per-step work could be observable: a tracer emits
-        per-step events, step hooks run every step, a backlogged or
-        mid-reset flow evolves TCP state, and a started-but-unfinished
-        player drains its buffer.
+        whenever any per-step work could be observable: step hooks run
+        every step, a backlogged or mid-reset flow evolves TCP state,
+        and a started-but-unfinished player drains its buffer.
         """
         cell = self._cell
         if cell._step_hooks:
-            return False
-        if obs.TRACER is not None:
             return False
         videos = self._videos
         idle = self._idle
@@ -955,8 +958,8 @@ class TtiKernel:
         """Rebuild the maybe-backlogged slot set from the object graph.
 
         Non-live slots get ``demand`` and ``wanted`` pinned to 0.0: the
-        reference step recomputes both for every slot every step (0.0
-        whenever the backlog is 0), while the fast step's claims loop
+        object path's claims recompute both for every flow every step
+        (0.0 whenever the backlog is 0), while the fast step's claims loop
         only touches the active set — the pin keeps the GBR phase
         (which reads ``demand`` across *all* bearer slots) and the
         boundary flush of ``demand_bytes`` byte-identical for slots
@@ -1562,41 +1565,39 @@ class TtiKernel:
             self._pl_wake_min = wake
         return True
 
-    def _step_fast(self) -> bool:
-        """One steady-state step running only provably-observable work.
+    def _step_fast(self) -> None:
+        """One fluid MAC step that runs only work with an observable effect.
 
-        Exactness relative to ``_step_once``: the skipped work is
-        (a) issue-gate evaluations for lazy players, whose wake bounds
-        prove the gate cannot fire; (b) ``totals[i] += 0.0`` and the
-        RB-trace/PF no-ops for unbacklogged slots; (c) idle-TCP
-        accumulation and playback drain, which are deferred and later
-        replayed with identical float operations (see
-        ``_idle_materialize`` / ``_pl_materialize``).  Everything that
-        does run copies the reference expressions verbatim.
+        This is ``Cell.step`` between its boundaries (:meth:`run` fires
+        due controllers before it and step hooks after it), with the
+        same phases in the same order: request issuance, claims, the
+        GBR pass in bearer-priority order, the PF waterfill over the
+        post-GBR residual demand, the PF average update, delivery with
+        its completion callbacks, and playback.  Everything that runs
+        copies the object path's expressions verbatim.  What it skips
+        is provably a no-op there, or is deferred and replayed exactly:
 
-        GBR bearers run the same two-phase schedule as the reference:
-        phase 1 walks ``_gbr_slots`` in bearer-priority order and
-        phase 2 rebuilds the PF candidate set from the post-GBR
-        residual demand, exactly as ``_step_once`` does when
-        ``fused_cand`` is false.
-
-        Returns ``False`` — after replaying all lazy state, with
-        mirrors still authoritative — when the step needs the
-        reference path: a due controller, step hooks, or any
-        observability mode (tracer, checker, profiler all pin the
-        reference kernel so their per-step effects stay exact).
+        * Issue gates.  A hot player calls ``issue_requests`` only when
+          the call can act; a lazy player skips the gate, because its
+          wake bound proves the gate cannot fire before then.
+        * Unbacklogged flows.  Their demand is 0.0, so the GBR walk's
+          ``need <= 0`` guard and the PF candidate filter pass over
+          them without touching the budget, and ``totals += 0.0``, the
+          PF update and the RB-trace record are no-ops.  Their channel
+          result is never read, so only backlogged slots query theirs.
+          That is exact for a channel whose answer does not depend on
+          which earlier steps queried it.  Primed-table channels
+          refresh every slot at the first step of each fading bucket,
+          where the object path's per-bucket caches fill.  A
+          ``FadingChannel`` on a mobile UE is the known exception: its
+          bucket cache keeps the position of its first query, so its
+          kernel runs can differ from the object path's.
+        * Idle-TCP accumulation and playback drains.  These are
+          deferred, then replayed with identical float operations by
+          ``_idle_materialize`` and ``_pl_materialize``.
         """
         cell = self._cell
-        if (cell._step_hooks
-                or obs.TRACER is not None or chk.CHECKER is not None
-                or prof.PROFILER is not None):
-            self._fast_drain()
-            return False
         now = cell._now_s
-        for _controller, next_due in cell._controllers:
-            if next_due[0] <= now + 1e-12:
-                self._fast_drain()
-                return False
         step_s = self._step_s
         end = now + step_s
         self._mirrors_hot = True
@@ -1667,10 +1668,9 @@ class TtiKernel:
             # --- Claims over the maybe-backlogged set. ---------------
             (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
              cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-             alloc_bytes, alloc_gbr, gbr_granted, zeros, totals, idle,
-             idle_reset, init_cwnd, max_cwnd, growth, rtt_over_step,
-             int_prbs, int_bytes, cum_prbs, cum_bytes, int_seen,
-             cum_seen) = self._hot
+             alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
+             growth, rtt_over_step, int_prbs, int_bytes, cum_prbs,
+             cum_bytes, int_seen, cum_seen) = self._hot
             tbl_itbs = self._tbl_itbs
             mode_pos = self._mode_pos
             gbr_slots = self._gbr_slots
@@ -1692,10 +1692,11 @@ class TtiKernel:
                     backlog = video._remaining_bytes
                 else:
                     # Download finished or was abandoned: the slot reverts
-                    # to the reference's idle branch (wanted = 0, lazy idle
-                    # accumulation from this step onwards).  demand is
-                    # pinned to 0.0 so the GBR phase sees the reference
-                    # value for slots the claims loop no longer visits.
+                    # to the object path's idle branch (wanted = 0, lazy
+                    # idle accumulation from this step onwards).  demand
+                    # is pinned to 0.0 so the GBR phase sees the object
+                    # path's value for slots the claims loop no longer
+                    # visits.
                     wanted[i] = 0.0
                     demand[i] = 0.0
                     member[i] = False
@@ -1708,8 +1709,8 @@ class TtiKernel:
                 elif mode == _TABLE:
                     bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
                 elif mode == _CYCLIC:
-                    # Scalar replica of the sweep (bit-identical to
-                    # _fill_cyclic, see its docstring).
+                    # Inlined CyclicItbsChannel.itbs_at (same float
+                    # operations in the same order).
                     pos = mode_pos[i]
                     cycle = self._cyc_cycle[pos]
                     phase = ((now + self._cyc_off[pos]) % cycle) / cycle
@@ -1720,7 +1721,7 @@ class TtiKernel:
                         level = (self._cyc_hi[pos]
                                  - 2.0 * (phase - 0.5) * self._cyc_span[pos])
                     bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
-                else:  # _PLAIN: pure bucket-cached itbs_at
+                else:  # _PLAIN: the base-class bytes_per_prb_at chain
                     bytes_per_prb = BYTES_PER_PRB_TABLE[
                         validate_itbs(channels[i].itbs_at(now))]
                 bpp[i] = bytes_per_prb
@@ -1747,19 +1748,15 @@ class TtiKernel:
                 self._act_slots = [i for i in act_slots if member[i]]
 
             # --- Phase 1: GBR guarantees in bearer-priority order. -------
-            # Reference copy minus the tracer/checker-only order
-            # bookkeeping (need_order is always False on this path),
-            # restricted to active bearer slots.  The restriction is exact:
-            # a bearer slot outside the active set has demand pinned to
-            # 0.0, so the reference walk hits a no-op guard there —
-            # ``slot_bpp <= 0: continue`` or ``need <= 0: continue`` —
-            # never touching the budget or any per-slot state, and the
-            # budget-exhausted break still precedes the first grant-eligible
-            # slot.  Walking the active bearers in rank order therefore
-            # reproduces the full walk's grants and float sequence.
-            # ``alloc_gbr`` is not maintained here: it is only ever read
-            # under need_order (tracer/checker active), which pins the
-            # reference step — and that step re-zeroes it before reading.
+            # PrioritySetScheduler's phase 1, restricted to active bearer
+            # slots.  The restriction is exact: a bearer slot outside the
+            # active set has demand pinned to 0.0, so the full walk hits
+            # a no-op guard there — ``slot_bpp <= 0: continue`` or
+            # ``need <= 0: continue`` — never touching the budget or any
+            # per-slot state, and the budget-exhausted break still
+            # precedes the first grant-eligible slot.  Walking the active
+            # bearers in rank order therefore reproduces the full walk's
+            # grants and float sequence.
             alloc_prbs[:] = zeros
             alloc_bytes[:] = zeros
             remaining_budget = self._budget
@@ -1793,9 +1790,10 @@ class TtiKernel:
             # --- Phase 2: proportional-fair waterfill of the rest. -------
             if remaining_budget > 1e-12:
                 if not fused_cand:
-                    # Post-GBR candidate rebuild.  The reference scans all
-                    # slots; restricting to step_act is exact because every
-                    # other slot has demand pinned to 0.0 (rescan/prune).
+                    # Post-GBR candidate rebuild.  The object path scans
+                    # all claims; restricting to step_act is exact because
+                    # every other slot has demand pinned to 0.0
+                    # (rescan/prune).
                     for i in step_act:
                         if demand[i] > 1e-9 and bpp[i] > 0:
                             cand.append(i)
@@ -1850,7 +1848,7 @@ class TtiKernel:
                 delivered = alloc_bytes[i]
                 prbs = alloc_prbs[i]
                 totals[i] += delivered
-                # wanted[i] > 0 here: the reference's active TCP branch.
+                # wanted[i] > 0 here: FluidTcp.on_delivered's active branch.
                 idle[i] = 0.0
                 idle_sync[i] = fast_steps + 1
                 flow_wanted = wanted[i]
@@ -1874,9 +1872,9 @@ class TtiKernel:
                             # (HasPlayer._on_complete) reads only
                             # player-local state, but the mirrors are
                             # written back in full first so any observer
-                            # sees the reference-path object state; lazy
-                            # playback of the completing player is
-                            # replayed before the callback runs.
+                            # sees the object path's state; lazy playback
+                            # of the completing player is replayed before
+                            # the callback runs.
                             self._flush_mirrors()
                             pj = slot_pl[i]
                             if pj is not None and self._pl_mode[pj] != _PL_HOT:
@@ -1924,392 +1922,10 @@ class TtiKernel:
 
         cell._now_s = end
         self._fast_steps += 1
-        if hot:
+        if hot and self._lazy_ok:
             self._pl_hot_list = [j for j in hot
                                  if not self._pl_try_lazy(j, end)]
         self._last_idle = not active_any
-        return True
-
-    # ------------------------------------------------------------------
-    # The fused step
-    # ------------------------------------------------------------------
-    def _step_once(self) -> bool:
-        """One fluid MAC step over the array mirrors.
-
-        Returns ``False`` — before any per-step phase has run, with
-        object state authoritative — when a controller firing dirtied
-        the topology and a resync is needed first.
-        """
-        cell = self._cell
-        now = cell._now_s
-        step_s = self._step_s
-        end = now + step_s
-        n = self._n
-
-        profiler = prof.PROFILER
-        if profiler is not None:
-            profiler.begin("sim.step")
-
-        # --- Interval controllers (observation boundary). ------------
-        fire = False
-        for _controller, next_due in cell._controllers:
-            if next_due[0] <= now + 1e-12:
-                fire = True
-                break
-        if fire:
-            self.flush()
-            cell._fire_due_controllers()
-            if self._dirty or cell.scheduler is not self._sched_obj:
-                if profiler is not None:
-                    profiler.end()
-                return False
-            if cell.registry.version != self._reg_version:
-                self._resync_registry()
-            self._reload_mutable()
-
-        # --- Player request issuance (gated: the full call runs only
-        # --- when it provably does something). -----------------------
-        playing = PlaybackState.PLAYING
-        finished = PlaybackState.FINISHED
-        for (player, buffer, start_s, threshold_s, can_abandon,
-             mpd) in self._issue_info:
-            state = player.state
-            if state is finished or now < start_s:
-                player._step_end_s = end
-                continue
-            pending = player._pending
-            active = player._active
-            if pending is not None:
-                if now >= pending.payload_starts_at_s:
-                    player.issue_requests(now)
-            elif active is not None:
-                if (state is playing and active.ladder_index != 0
-                        and can_abandon):
-                    player.issue_requests(now)
-            elif (buffer._level_s < threshold_s
-                  and mpd.has_segment(player._next_segment_index)):
-                player.issue_requests(now)
-            player._step_end_s = end
-
-        if profiler is not None:
-            profiler.begin("sim.kernel.claims")
-        self._mirrors_hot = True
-        checker = chk.CHECKER
-        tracer = obs.TRACER
-
-        # --- Claims: channel chain + demand, into flat arrays. -------
-        (modes, const_bpp, bpp, wanted, demand, videos, channels, cwnd,
-         step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-         alloc_bytes, alloc_gbr, gbr_granted, zeros, totals, idle,
-         idle_reset, init_cwnd, max_cwnd, growth, rtt_over_step,
-         int_prbs, int_bytes, cum_prbs, cum_bytes, int_seen,
-         cum_seen) = self._hot
-        gbr_slots = self._gbr_slots
-        if self._cyc_slots:
-            self._fill_cyclic(now)
-        cyc_itbs = self._cyc_itbs
-        cyc_index = 0
-        if self._tbl_slots:
-            bucket = math.floor(now / self._tbl_period)
-            if bucket != self._tbl_bucket:
-                self._fill_table(now, bucket)
-                self._tbl_bucket = bucket
-        tbl_itbs = self._tbl_itbs
-        tbl_index = 0
-        active_list: list[int] = []
-        # Without GBR slots phase 1 never touches ``demand``, so the
-        # phase-2 candidate set (and its PF weights and PRB caps) can
-        # be built right here instead of re-scanning all slots.
-        fused_cand = not gbr_slots
-        cand: list[int] = []
-        weights: list[float] = []
-        caps: list[float] = []
-        for i in range(n):
-            mode = modes[i]
-            if mode == _CONST:
-                if checker is not None:
-                    checker.check_tbs_index(
-                        self._const_itbs[i], MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = const_bpp[i]
-            elif mode == _CYCLIC:
-                itbs = cyc_itbs[cyc_index]
-                cyc_index += 1
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[itbs]
-            elif mode == _TABLE:
-                itbs = tbl_itbs[tbl_index]
-                tbl_index += 1
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[itbs]
-            elif mode == _PLAIN:
-                itbs = channels[i].itbs_at(now)
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[validate_itbs(itbs)]
-            else:
-                bytes_per_prb = channels[i].bytes_per_prb_at(now)
-            bpp[i] = bytes_per_prb
-            video = videos[i]
-            if video is None:
-                backlog = math.inf
-            elif video._download_active:
-                backlog = video._remaining_bytes
-            else:
-                backlog = 0.0
-            wanted[i] = backlog
-            if backlog <= 0:
-                flow_demand = 0.0
-            else:
-                limit = cwnd[i] * step_over_rtt[i]
-                flow_demand = backlog if backlog <= limit else limit
-                cap = mbr_cap[i]
-                if flow_demand > cap:
-                    flow_demand = cap
-            demand[i] = flow_demand
-            if flow_demand > 0:
-                active_list.append(i)
-                if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
-                    cand.append(i)
-                    achievable = (bytes_per_prb * 8) / step_s
-                    avg = pf_avg[i]
-                    weights.append(
-                        achievable / (avg if avg >= 1e3 else 1e3))
-                    caps.append(flow_demand / bytes_per_prb)
-
-        if profiler is not None:
-            profiler.switch("sim.kernel.sched")
-
-        # --- Phase 1: GBR guarantees in bearer-priority order. -------
-        need_order = tracer is not None or checker is not None
-        alloc_prbs[:] = zeros
-        alloc_bytes[:] = zeros
-        order: list[int] = []
-        if need_order or gbr_slots:
-            alloc_gbr[:] = zeros
-        remaining_budget = self._budget
-        for slot, guarantee in gbr_slots:
-            slot_bpp = bpp[slot]
-            if slot_bpp <= 0:
-                continue
-            if remaining_budget <= 1e-12:
-                break
-            slot_demand = demand[slot]
-            need = guarantee if guarantee <= slot_demand else slot_demand
-            if need <= 0:
-                continue
-            prbs_needed = need / slot_bpp
-            prbs = (prbs_needed if prbs_needed <= remaining_budget
-                    else remaining_budget)
-            delivered = prbs * slot_bpp
-            remaining_budget -= prbs
-            demand[slot] = slot_demand - delivered
-            alloc_prbs[slot] += prbs
-            alloc_bytes[slot] += delivered
-            alloc_gbr[slot] += prbs
-            if need_order:
-                order.append(slot)
-                gbr_granted[slot] = True
-
-        # --- Phase 2: proportional-fair waterfill of the rest. -------
-        if remaining_budget > 1e-12:
-            if not fused_cand:
-                cand = [i for i in range(n)
-                        if demand[i] > 1e-9 and bpp[i] > 0]
-                for i in cand:
-                    achievable = (bpp[i] * 8) / step_s
-                    avg = pf_avg[i]
-                    weights.append(
-                        achievable / (avg if avg >= 1e3 else 1e3))
-                    caps.append(demand[i] / bpp[i])
-            if len(cand) == 1:
-                # Sole candidate: round 1 of the progressive fill either
-                # caps it or hands it its full share — replicated here
-                # without the list machinery.  ``total_weight`` is
-                # ``0.0 + w`` in the object path, exactly ``w`` for the
-                # strictly positive weights candidates are built with.
-                i = cand[0]
-                weight = weights[0]
-                share = remaining_budget * weight / weight
-                prb_cap = caps[0]
-                prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                if prbs > 0:
-                    delivered = prbs * bpp[i]
-                    slot_demand = demand[i]
-                    if delivered > slot_demand:
-                        delivered = slot_demand
-                    demand[i] = slot_demand - delivered
-                    alloc_prbs[i] += prbs
-                    alloc_bytes[i] += delivered
-                    if need_order and not gbr_granted[i]:
-                        order.append(i)
-            elif cand:
-                grants = _waterfill(remaining_budget, caps, weights)
-                for j, i in enumerate(cand):
-                    prbs = grants[j]
-                    if prbs <= 0:
-                        continue
-                    delivered = prbs * bpp[i]
-                    slot_demand = demand[i]
-                    if delivered > slot_demand:
-                        delivered = slot_demand
-                    demand[i] = slot_demand - delivered
-                    alloc_prbs[i] += prbs
-                    alloc_bytes[i] += delivered
-                    if need_order and not gbr_granted[i]:
-                        order.append(i)
-
-        # --- PF served-average EWMA (active flows only). -------------
-        decay = step_s / self._sched_obj.pf.time_constant_s
-        if decay > 1.0:
-            decay = 1.0
-        one_minus = 1 - decay
-        for i in active_list:
-            rate = (alloc_bytes[i] * 8) / step_s
-            pf_avg[i] = one_minus * pf_avg[i] + decay * rate
-            pf_seen[i] = True
-
-        if need_order:
-            # Replicate the object path's result-dict iteration order
-            # (phase-1 grants first, then phase-2-only grants) so the
-            # sequential float sums below are bit-identical.
-            total_prbs: Any = 0
-            gbr_prbs: Any = 0
-            for slot in order:
-                total_prbs += alloc_prbs[slot]
-                gbr_prbs += alloc_gbr[slot]
-                gbr_granted[slot] = False
-            if tracer is not None:
-                tracer.emit(
-                    obs_events.MAC_SCHED, now,
-                    budget_prbs=self._budget,
-                    gbr_prbs=gbr_prbs,
-                    pf_prbs=total_prbs - gbr_prbs,
-                    backlogged=len(active_list),
-                )
-            if checker is not None:
-                checker.check_rb_conservation(now, total_prbs,
-                                              self._budget)
-
-        # --- Delivery: TCP feedback, byte accounting, RB trace. ------
-        if profiler is not None:
-            profiler.switch("sim.kernel.deliver")
-        step_prbs = 0.0
-        step_bytes = 0.0
-        for i in range(n):
-            delivered = alloc_bytes[i]
-            prbs = alloc_prbs[i]
-            totals[i] += delivered
-            # Inlined FluidTcp.on_delivered (exact op order).
-            flow_wanted = wanted[i]
-            if flow_wanted <= 0:
-                idle[i] += step_s
-                if idle[i] >= idle_reset[i]:
-                    cwnd[i] = init_cwnd[i]
-            else:
-                idle[i] = 0.0
-                limit = cwnd[i] * step_over_rtt[i]
-                window_min = (flow_wanted if flow_wanted <= limit
-                              else limit)
-                if delivered >= window_min - 1e-9:
-                    grown = cwnd[i] * growth[i]
-                    cwnd[i] = (grown if grown <= max_cwnd[i]
-                               else max_cwnd[i])
-                else:
-                    granted_per_rtt = delivered * rtt_over_step[i]
-                    target = granted_per_rtt * 1.25
-                    if target < init_cwnd[i]:
-                        target = init_cwnd[i]
-                    cwnd[i] += 0.5 * (target - cwnd[i])
-            if delivered > 0:
-                video = videos[i]
-                if video is not None and video._download_active:
-                    remaining = video._remaining_bytes - delivered
-                    if remaining <= 1e-6:
-                        # Segment completion: an observation boundary
-                        # *inside* the deliver loop.  Bring the object
-                        # graph exactly current (earlier slots fully
-                        # delivered, this flow's bytes counted, its RB
-                        # trace not yet recorded — the object path's
-                        # state when the callback fires), run the
-                        # callback, then re-arm the mirrors.
-                        self.flush()
-                        video._remaining_bytes = 0.0
-                        video._download_active = False
-                        callback = video._completion_callback
-                        video._completion_callback = None
-                        if callback is not None:
-                            callback()
-                        if (not self._dirty and cell.registry.version
-                                != self._reg_version):
-                            self._resync_registry()
-                        self._reload_mutable()
-                        self._mirrors_hot = True
-                    else:
-                        video._remaining_bytes = remaining
-            if prbs > 0 or delivered > 0:
-                # Inlined RbTraceModule.record.
-                int_prbs[i] += prbs
-                int_bytes[i] += delivered
-                cum_prbs[i] += prbs
-                cum_bytes[i] += delivered
-                int_seen[i] = True
-                cum_seen[i] = True
-                if end > self._tr_now:
-                    self._tr_now = end
-                if tracer is not None:
-                    step_prbs += prbs
-                    step_bytes += delivered
-                    tracer.emit(
-                        obs_events.TTI_ALLOC, now,
-                        flow=self._flow_ids[i],
-                        ue=self._ue_ids[i],
-                        kind=self._kind_values[i],
-                        prbs=prbs,
-                        gbr_prbs=alloc_gbr[i] if need_order else 0.0,
-                        tbs_bytes=delivered,
-                        itbs=channels[i].itbs_at(now),
-                    )
-
-        # --- Playback (inline drain for the steady PLAYING state). ---
-        if profiler is not None:
-            profiler.switch("sim.kernel.playback")
-        for player in cell._players.values():
-            buffer = player.buffer
-            level = buffer._level_s
-            if player.state is playing and level >= step_s:
-                player._step_end_s = end
-                level -= step_s
-                buffer._level_s = level
-                buffer._total_played_s += step_s
-                if checker is not None:
-                    checker.check_buffer_level(level, buffer._capacity_s)
-                player._trace_runs.append(["e", end, level])
-            else:
-                player.advance_playback(end, step_s)
-        if profiler is not None:
-            profiler.end()
-
-        if tracer is not None:
-            tracer.emit(obs_events.SIM_STEP, now, cell=cell.cell_id,
-                        flows=len(cell._flows), prbs=step_prbs,
-                        bytes=step_bytes)
-
-        cell._now_s = end
-        if cell._step_hooks:
-            # Step hooks are an observation boundary too.
-            self.flush()
-            for hook in cell._step_hooks:
-                hook(end)
-            if not self._dirty:
-                if cell.registry.version != self._reg_version:
-                    self._resync_registry()
-                self._reload_mutable()
-        if profiler is not None:
-            profiler.end()
-        self._last_idle = not active_list
-        return True
 
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.
@@ -2327,44 +1943,6 @@ class TtiKernel:
             if value is None:
                 value = channel.itbs_at(now)
             itbs[j] = value
-
-    def _fill_cyclic(self, now: float) -> None:
-        """Evaluate every cyclic channel's triangular sweep at once.
-
-        Exact replica of ``CyclicItbsChannel.itbs_at`` per element:
-        numpy's elementwise ``%``, ``/``, ``*``, ``-`` and ``rint``
-        are correctly rounded, so the batched result is bit-identical
-        to the scalar loop (``round`` and ``rint`` both round half to
-        even).
-        """
-        count = len(self._cyc_slots)
-        if np is not None and count >= MIN_BULK_CYCLIC:
-            off = np.frombuffer(self._cyc_off)
-            cycle = np.frombuffer(self._cyc_cycle)
-            lo = np.frombuffer(self._cyc_lo)
-            hi = np.frombuffer(self._cyc_hi)
-            span = np.frombuffer(self._cyc_span)
-            phase = ((now + off) % cycle) / cycle
-            level = np.where(
-                phase < 0.5,
-                lo + 2.0 * phase * span,
-                hi - 2.0 * (phase - 0.5) * span,
-            )
-            self._cyc_itbs = np.rint(level).astype(np.int64).tolist()
-            return
-        off = self._cyc_off
-        cycle = self._cyc_cycle
-        lo = self._cyc_lo
-        hi = self._cyc_hi
-        span = self._cyc_span
-        itbs = self._cyc_itbs
-        for j in range(count):
-            phase = ((now + off[j]) % cycle[j]) / cycle[j]
-            if phase < 0.5:
-                level = lo[j] + 2.0 * phase * span[j]
-            else:
-                level = hi[j] - 2.0 * (phase - 0.5) * span[j]
-            itbs[j] = int(round(level))
 
 
 @sequential_replay

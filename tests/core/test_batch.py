@@ -8,7 +8,9 @@ plugin assignments, same player behaviour — across hysteresis
 configurations, client caps, infeasible cells and mid-run churn, on
 the TTI kernel and its vector lane alike.  Every differential here
 runs an organically fired twin against a swept twin of the same
-deterministic world and compares the full downstream record.
+deterministic world, both on the kernel, and compares the full
+downstream record; the organic twin must also match a sanitized
+object-path run (an armed sanitizer makes the kernel decline).
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.net.flows import UserEquipment
 from repro.obs.tracer import tracing
 from repro.phy.channel import CyclicItbsChannel, StaticItbsChannel
 from repro.sim.cell import Cell, CellConfig
+from repro.sim.kernel import TtiKernel, kernel_mode
 
 
 def build_system(num_video=3, num_data=1, channel=None, bai_s=2.0,
@@ -106,16 +109,24 @@ def world_facts(cell, flare, players):
 
 
 def run_twins(duration_s=30.0, hooks=(), checked=True, **build_kwargs):
-    """Build + run an organic twin and a swept twin; return both facts."""
+    """Build + run an organic twin and a swept twin; return both facts.
+
+    Both twins run on the TTI kernel and must really take fast steps.
+    With ``checked`` the organic twin must also match a reference run
+    on the object path with the invariant sanitizer armed.
+    """
     results = []
     for sweep in (False, True):
         cell, flare, players = build_system(**build_kwargs)
-        if checked:
-            with chk.checked_run():
-                drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
-        else:
+        with kernel_mode(True):
             drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
+        assert cell._kernel._fast_steps > 0
         results.append(world_facts(cell, flare, players))
+    if checked:
+        cell, flare, players = build_system(**build_kwargs)
+        with chk.checked_run(), kernel_mode(False):
+            drive(cell, flare, duration_s, hooks=hooks)
+        assert world_facts(cell, flare, players) == results[0]
     return results
 
 
@@ -152,15 +163,25 @@ class TestSingleCellDifferential:
         organic, swept = run_twins(client_kwargs=caps, num_video=3)
         assert organic == swept
 
-    def test_infeasible_all_minimum_fallback(self):
+    def test_infeasible_all_minimum_fallback(self, monkeypatch):
         # 48 video flows at iTbs 0 cannot all fit their minimum ladder
         # rate into the RB budget: the solver's all-minimum fallback
         # (feasible=False, every flow at index 0) must replay exactly.
         # 48 flows also put the kernel on its numpy vector lane.
         def channel(k):
             return StaticItbsChannel(0)
+
+        engaged = []
+        gather = TtiKernel._vec_gather
+
+        def spying_gather(kernel):
+            engaged.append(True)
+            return gather(kernel)
+
+        monkeypatch.setattr(TtiKernel, "_vec_gather", spying_gather)
         organic, swept = run_twins(8.0, channel=channel, num_video=48,
                                    num_data=0)
+        assert engaged, "vector lane never engaged"
         assert organic == swept
         solves, infeasible, _ = organic[4]
         assert infeasible > 0 and infeasible == solves

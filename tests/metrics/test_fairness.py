@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.metrics.fairness import jain_index, max_min_ratio
@@ -22,6 +22,8 @@ class TestJainIndex:
     def test_known_case(self):
         # (1+2+3)^2 / (3 * (1+4+9)) = 36/42
         assert jain_index([1.0, 2.0, 3.0]) == pytest.approx(36.0 / 42.0)
+        # Squares that underflow must not hide the scale-free answer.
+        assert jain_index([1e-300, 2e-300]) == pytest.approx(0.9)
 
     def test_all_zero_is_fair(self):
         assert jain_index([0.0, 0.0]) == 1.0
@@ -33,6 +35,8 @@ class TestJainIndex:
             jain_index([1.0, -1.0])
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
+    @example([1e-300, 2e-300])
+    @example([2.460849161654704e-158] * 2)
     def test_bounds(self, values):
         index = jain_index(values)
         assert 1.0 / len(values) - 1e-9 <= index <= 1.0 + 1e-9

@@ -3,9 +3,11 @@
 The kernel's contract is *byte-identical* serialized ``CellReport``s
 against the pure-object path — not approximate agreement.  The matrix
 here runs coordinated (FLARE, AVIS) and client-side (FESTIVE) schemes
-across seeds with the invariant sanitizer armed on both paths; any
-drift in a mirrored quantity (TCP windows, PF averages, RB trace,
-delivered totals) shows up as a serialization diff.
+across seeds against the object path with the invariant sanitizer
+armed; any drift in a mirrored quantity (TCP windows, PF averages, RB
+trace, delivered totals, playback) shows up as a serialization or
+buffer-trace diff.  An armed sanitizer or tracer makes the kernel
+decline, so the kernel side runs unarmed and proves it took fast steps.
 
 Fast-forward boundary semantics (stride must stop exactly at
 controller deadlines, player starts and the run end, and a refused or
@@ -26,38 +28,45 @@ from repro.mac.tti_reference import TtiReferenceScheduler
 from repro.metrics.collector import MetricsSampler, collect_cell_report
 from repro.metrics.serialize import dump_cell_report
 from repro.net.flows import UserEquipment, reset_entity_ids
-from repro.phy.channel import StaticItbsChannel
+from repro.obs.tracer import tracing
+from repro.phy.channel import OutageChannel, StaticItbsChannel
 from repro.sim import Cell, CellConfig, kernel_mode
+from repro.workload.multicell import build_multicell_scenario
 from repro.workload.scenarios import build_testbed_scenario
 
 
-def _matrix_report(scheme: str, seed: int, kernel: bool) -> str:
+def _testbed_run(scheme: str, seed: int, kernel: bool, **kwargs):
+    """One 30 s testbed run: the scenario and its report dump."""
     with kernel_mode(kernel):
-        report = build_testbed_scenario(scheme, seed=seed,
-                                        duration_s=30.0).run()
-    return dump_cell_report(report)
+        scenario = build_testbed_scenario(scheme, seed=seed,
+                                          duration_s=30.0, **kwargs)
+        report = dump_cell_report(scenario.run())
+    return scenario, report
+
+
+def buffer_traces(players):
+    """Every player's decoded per-step buffer trace."""
+    return [player.buffer_trace for player in players]
 
 
 class TestDifferentialMatrix:
-    """FLARE/FESTIVE/AVIS x seeds, sanitizer armed on both paths."""
+    """FLARE/FESTIVE/AVIS x seeds: fast step vs sanitized object path."""
+
+    def _compare(self, scheme, seed, **kwargs):
+        with chk.checked_run():
+            ref, slow = _testbed_run(scheme, seed, kernel=False, **kwargs)
+        run, fast = _testbed_run(scheme, seed, kernel=True, **kwargs)
+        assert run.cell._kernel._fast_steps > 0
+        assert fast == slow
+        assert buffer_traces(run.players) == buffer_traces(ref.players)
 
     @pytest.mark.parametrize("scheme", ["flare", "festive", "avis"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_byte_identical_reports(self, scheme, seed):
-        with chk.checked_run():
-            fast = _matrix_report(scheme, seed, kernel=True)
-            slow = _matrix_report(scheme, seed, kernel=False)
-        assert fast == slow
+        self._compare(scheme, seed)
 
     def test_dynamic_channel_byte_identical(self):
-        def report(kernel):
-            with kernel_mode(kernel):
-                built = build_testbed_scenario("flare", dynamic=True,
-                                               seed=1, duration_s=30.0)
-                return dump_cell_report(built.run())
-
-        with chk.checked_run():
-            assert report(True) == report(False)
+        self._compare("flare", 1, dynamic=True)
 
 
 # ----------------------------------------------------------------------
@@ -183,3 +192,75 @@ class TestTtiReference:
         with kernel_mode(False):
             reference = total(TtiReferenceScheduler())
         assert fluid == pytest.approx(reference, rel=0.1)
+
+
+# ----------------------------------------------------------------------
+# When the kernel declines, and what runs the step when it does not
+# ----------------------------------------------------------------------
+class TestDeclineRules:
+    def test_tracer_makes_the_kernel_decline(self):
+        with kernel_mode(True):
+            cell, _ = idle_start_cell(0.0, 1.0)
+            kernel = cell._active_kernel()
+            with tracing(ring=True) as tracer:
+                assert kernel.run(4.0) is False
+                cell.run(4.0)
+        assert kernel._fast_steps == 0
+        # The object path emitted the per-step heartbeat.
+        steps = tracer.ring().of_type("sim.step")
+        assert len(steps) == round(cell.now_s / cell.config.step_s)
+
+    def test_sanitizer_declines_and_checks_every_step(self):
+        with kernel_mode(True):
+            cell, _ = idle_start_cell(0.0, 1.0)
+            kernel = cell._active_kernel()
+            with chk.checked_run() as checker:
+                assert kernel.run(4.0) is False
+                cell.run(4.0)
+        assert kernel._fast_steps == 0
+        assert (checker.counts["rb_conservation"]
+                == round(cell.now_s / cell.config.step_s))
+
+    def test_outage_channel_declines(self):
+        # OutageChannel has its own bytes_per_prb_at (0.0 in an
+        # outage), which the fused step's TBS-table chain cannot mirror.
+        def report(kernel):
+            reset_entity_ids()
+            mpd = MediaPresentation(ladder=TESTBED_LADDER,
+                                    segment_duration_s=4.0)
+            cell = Cell(CellConfig(step_s=0.02))
+            channel = OutageChannel(StaticItbsChannel(7), [(3.0, 5.0)])
+            cell.add_video_flow(UserEquipment(channel), mpd, Festive(),
+                                PlayerConfig(request_threshold_s=12.0))
+            sampler = MetricsSampler(interval_s=1.0)
+            cell.add_controller(sampler)
+            with kernel_mode(kernel):
+                return cell, run_report(cell, sampler, 12.0)
+
+        cell, fast = report(True)
+        assert cell._kernel is not None and not cell._kernel.active
+        assert cell._kernel._fast_steps == 0
+        _, slow = report(False)
+        assert fast == slow
+
+    def test_step_hooks_and_lockstep_run_the_fast_step(self):
+        # Interference coupling installs a step hook on every cell, and
+        # the multi-cell scenario advances its cells in lockstep through
+        # Cell.step(): each of those steps runs on the fused step.
+        def run(kernel):
+            with kernel_mode(kernel):
+                scenario = build_multicell_scenario(
+                    num_cells=2, clients_per_cell=4, duration_s=60.0,
+                    interference_coupling_db=6.0)
+                reports = scenario.run()
+            return scenario, {cell_id: dump_cell_report(report)
+                              for cell_id, report in reports.items()}
+
+        fast_run, fast = run(True)
+        slow_run, slow = run(False)
+        assert fast == slow
+        for cell_id, cell in fast_run.cells.items():
+            assert cell._step_hooks
+            assert cell._kernel._fast_steps == 3000
+            assert (buffer_traces(fast_run.players[cell_id])
+                    == buffer_traces(slow_run.players[cell_id]))

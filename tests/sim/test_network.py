@@ -4,7 +4,9 @@ The network's contract mirrors the TTI kernel's: the batched
 (``shards=1``) and process-sharded (``shards>1``) execution modes must
 produce **byte-identical** serialized ``CellReport``s to the per-step
 lockstep reference — across schemes, seeds and with interference
-coupling on, with the invariant sanitizer armed.  Handover semantics
+coupling on — with the invariant sanitizer armed on the reference.
+An armed sanitizer makes the kernel decline, so the kernel modes run
+unarmed and prove that their cells ran on the kernel.  Handover semantics
 get targeted tests: handovers land exactly on epoch boundaries, the
 pickle round-trip preserves player state, streaming continues in the
 target cell, and a stalled player recovers after handing over to a
@@ -69,8 +71,10 @@ class TestDifferentialMatrix:
         with chk.checked_run():
             with kernel_mode(False):
                 ref_net, ref = run_reports(plan, 30.0, lockstep=True)
-            bat_net, batched = run_reports(plan, 30.0, shards=1)
-            shard_net, sharded = run_reports(plan, 30.0, shards=2)
+        bat_net, batched = run_reports(plan, 30.0, shards=1)
+        shard_net, sharded = run_reports(plan, 30.0, shards=2)
+        assert bat_net.kernel_cell_runs > 0
+        assert shard_net.kernel_cell_runs > 0
         assert ref == batched
         assert batched == sharded
         assert ref_net.records == bat_net.records == shard_net.records
@@ -149,6 +153,25 @@ class TestObservabilityParity:
         merged = (tmp_path / "shard.jsonl").read_text(encoding="utf-8")
         assert '"task":1' in merged and '"task":2' in merged
         assert not list(tmp_path.glob("shard.jsonl.netshard*"))
+
+    def test_profiled_sharded_run_keeps_the_fast_path(self):
+        # Without a tracer, arming the profiler and the telemetry plane
+        # leaves every shard on the kernel: the merged shard-side spans
+        # show one sim.kernel.run per kernel call, and no per-step
+        # object-path span.
+        plan = small_plan(coupling_db=6.0)
+        _, reference = run_reports(plan, 30.0)
+        with prof.profiling() as profiler, collecting() as collector:
+            net, sharded = run_reports(plan, 30.0, shards=2)
+        assert sharded == reference
+        assert net.kernel_cell_runs > 0
+        assert collector.records
+        stats = profiler.snapshot()["stats"]
+        assert any(path.split("/")[-1] == "sim.kernel.run"
+                   for path in stats)
+        assert not any(path.startswith("sim.step") for path in stats)
+        assert {event["pid"]
+                for event in profiler.chrome_events()} >= {1, 2}
 
 
 class FifoPool:
@@ -304,9 +327,8 @@ class TestVectorLane:
     def test_vec_scalar_lockstep_sharded_identical(self, seed, shards,
                                                    monkeypatch):
         # The sanitizer guards the lockstep reference only: an armed
-        # CHECKER forces every kernel onto the per-step reference
-        # schedule (kernel.py's _step_fast bail-out), so the fast
-        # paths under test must run unchecked to engage at all.
+        # CHECKER makes the kernel decline (TtiKernel._enter), so the
+        # fast paths under test must run unchecked to engage at all.
         plan = dense_plan(seed)
         with chk.checked_run():
             with kernel_mode(False):
@@ -371,8 +393,10 @@ class TestVectorLane:
         with chk.checked_run():
             with kernel_mode(False):
                 _, ref = run_reports(plan, 30.0, lockstep=True)
-            _, batched = run_reports(plan, 30.0, shards=1)
-            _, sharded = run_reports(plan, 30.0, shards=4)
+        bat_net, batched = run_reports(plan, 30.0, shards=1)
+        shard_net, sharded = run_reports(plan, 30.0, shards=4)
+        assert bat_net.kernel_cell_runs > 0
+        assert shard_net.kernel_cell_runs > 0
         assert ref == batched
         assert batched == sharded
 

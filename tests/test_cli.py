@@ -173,7 +173,7 @@ class TestProfileCommand:
         record = json.loads((isolated_artifacts / "bench"
                              / "BENCH_profile.json").read_text())
         assert record["profile"]["phases"]["run"]["calls"] == 1
-        assert "run/sim.step" in record["profile"]["phases"]
+        assert "run/sim.kernel.run" in record["profile"]["phases"]
 
     def test_no_ambient_profiler_leaks(self, isolated_artifacts):
         from repro.obs import prof

@@ -1,14 +1,10 @@
 """Micro-benchmarks for the TTI hot-loop stages.
 
-Five micro-kernels:
+Four micro-kernels:
 
 * ``sched`` — ``PrioritySetScheduler.allocate`` over N backlogged
   data flows: the GBR phase, the proportional-fair waterfill and the
   EWMA update, with no channel or delivery work.
-* ``chain`` — the kernel's channel→iTbs→TBS evaluation for N cyclic
-  channels (``TtiKernel._fill_cyclic`` plus the TBS-table gather);
-  N = 16 exercises the scalar per-slot loop, the larger populations
-  the batched numpy sweep.
 * ``itbs`` — the metro's batched per-epoch channel priming
   (``prime_metro_channels``: scalar loss/fade collection plus the
   vectorised SINR→CQI→iTbs sweep) over N roaming ``MetroChannel``
@@ -22,7 +18,7 @@ Five micro-kernels:
   N FLARE flows spread across 1 or 16 cells, through the scalar
   controller.  N = 16 / 256 / 2048; result keys are ``NxC``.
 
-``sched`` and ``chain`` run at N = 16 / 256 / 2048.  Each
+``sched`` runs at N = 16 / 256 / 2048.  Each
 (kernel, N) cell runs a fixed amount of total work (the step count
 scales inversely with N) and reports the best of ``--repeats``
 timings.  The artifact is a standard ``BENCH_micro.json`` written to
@@ -57,11 +53,9 @@ from repro.mac.gbr import BearerRegistry
 from repro.mac.priority_set import PrioritySetScheduler
 from repro.net.flows import DataFlow, UserEquipment, reset_entity_ids
 from repro.net.tcp import FluidTcp
-from repro.phy.channel import CyclicItbsChannel, FadingProcess, StaticItbsChannel
+from repro.phy.channel import FadingProcess, StaticItbsChannel
 from repro.phy.mobility import RandomWaypointMobility
-from repro.phy.tbs import BYTES_PER_PRB_TABLE
 from repro.sim.cell import Cell, CellConfig
-from repro.sim.kernel import TtiKernel
 from repro.sim.network import (
     MetroChannel,
     NetworkShard,
@@ -135,30 +129,6 @@ def bench_sched(n: int, steps: int) -> float:
                 flow.on_scheduled(grant.bytes_delivered, STEP_S)
         now += STEP_S
     return time.perf_counter() - started
-
-
-def bench_chain(n: int, steps: int) -> float:
-    """Channel-chain-only: cyclic sweep -> iTbs -> TBS bytes/PRB."""
-    reset_entity_ids()
-    cell = Cell(CellConfig(step_s=STEP_S))
-    for i in range(n):
-        cell.add_data_flow(UserEquipment(CyclicItbsChannel(
-            lo=1, hi=12, cycle_s=240.0, offset_s=i * 240.0 / n)))
-    kernel = TtiKernel(cell)
-    if not kernel._enter():
-        raise SystemExit("microbench: kernel refused the chain cell")
-    table = BYTES_PER_PRB_TABLE
-    sink = 0.0
-    started = time.perf_counter()
-    now = 0.0
-    for _ in range(steps):
-        kernel._fill_cyclic(now)
-        for itbs in kernel._cyc_itbs:
-            sink += table[itbs]
-        now += STEP_S
-    elapsed = time.perf_counter() - started
-    assert sink > 0.0
-    return elapsed
 
 
 def bench_itbs(n: int, steps: int) -> float:
@@ -278,7 +248,6 @@ def measure_telemetry_overhead(repeats: int) -> dict[str, float]:
 #: key their result cell as ``NxC`` and scale steps by N.
 KERNELS = {
     "sched": (bench_sched, POPULATIONS, WORK_UNITS),
-    "chain": (bench_chain, POPULATIONS, WORK_UNITS),
     "itbs": (bench_itbs, ITBS_POPULATIONS, ITBS_WORK_UNITS),
     "telemetry": (bench_telemetry, TELEMETRY_POPULATIONS,
                   TELEMETRY_WORK_UNITS),
