@@ -564,12 +564,6 @@ class ShardPool:
                 f"shard {shard} worker failed:\n{payload}")
         return payload
 
-    def call(self, shard: int, method: str, *args: Any) -> Any:
-        """Invoke ``method(*args)`` on one shard's state (blocking)."""
-        self._conns[shard].send((method, args))
-        self._pending[shard] += 1
-        return self._receive(shard)
-
     def send(self, shard: int, method: str, *args: Any) -> None:
         """Dispatch ``method(*args)`` to one shard without waiting.
 

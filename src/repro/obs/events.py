@@ -30,7 +30,6 @@ SEG_ABANDON = "seg.abandon"
 
 # -- Simulation driver -------------------------------------------------
 SIM_STEP = "sim.step"
-SIM_EVENTS = "sim.events"
 
 # -- Multi-cell network ------------------------------------------------
 NET_HANDOVER = "net.handover"
@@ -109,9 +108,6 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
         "flows": "flows attached to the cell",
         "prbs": "PRBs granted this step (all flows)",
         "bytes": "bytes delivered this step (all flows)",
-    },
-    SIM_EVENTS: {
-        "fired": "timed callbacks fired by the event queue this drain",
     },
     NET_HANDOVER: {
         "flow": "video flow id handed over",

@@ -1,4 +1,4 @@
-"""Simulation engine: event queue, cell world object, TTI fast path.
+"""Simulation engine: cell world object, step scheduling, TTI fast path.
 
 The multi-cell world lives in :mod:`repro.sim.network`; it is not
 re-exported here because it sits *above* the core/workload layers
@@ -8,19 +8,12 @@ it as ``repro.sim.network`` or from the top-level ``repro`` package.
 """
 
 from repro.sim.cell import Cell, CellConfig, IntervalController
-from repro.sim.engine import (
-    EventHandle,
-    EventQueue,
-    advance_cells_lockstep,
-    earliest_due,
-)
+from repro.sim.engine import advance_cells_lockstep, earliest_due
 from repro.sim.kernel import TtiKernel, kernel_enabled, kernel_mode, run_cells
 
 __all__ = [
     "Cell",
     "CellConfig",
-    "EventHandle",
-    "EventQueue",
     "IntervalController",
     "TtiKernel",
     "advance_cells_lockstep",

@@ -1,157 +1,32 @@
-"""Discrete-event core used by the cell driver.
+"""Step-scheduling helpers for the TTI kernel and multi-cell worlds.
 
-The cell simulation advances the MAC in fixed fluid steps, but
-everything above it — BAI timers for the OneAPI server, AVIS epochs,
-metrics sampling, scripted arrivals and departures — is event-driven.
-:class:`EventQueue` is a small, deterministic priority queue of timed
-callbacks with stable FIFO ordering for simultaneous events, plus a
-recurring-event helper that powers interval controllers.
+The cell simulation advances the MAC in fixed fluid steps; interval
+controllers (BAI timers for the OneAPI server, AVIS epochs, metrics
+sampling) sit on each cell's own due list and fire at the first step
+whose start reaches their deadline.  :func:`earliest_due` reads that
+list, and :func:`advance_cells_lockstep` is the multi-cell reference
+schedule.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.obs import events as obs_events
-from repro.obs import tracer as obs
-from repro.util import require_non_negative, require_positive
+from repro.util import require_positive
 
 if TYPE_CHECKING:
     from repro.sim.cell import Cell
-
-Callback = Callable[[float], None]
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, insertion sequence)."""
-
-    time_s: float
-    sequence: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
-
-
-class EventHandle:
-    """Cancellation token returned by :meth:`EventQueue.schedule`."""
-
-    def __init__(self, event: _ScheduledEvent, queue: EventQueue) -> None:
-        self._event = event
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        event = self._event
-        if event.cancelled:
-            return
-        event.cancelled = True
-        if not event.fired:
-            self._queue._live -= 1
-
-    @property
-    def cancelled(self) -> bool:
-        """True once cancelled."""
-        return self._event.cancelled
-
-    @property
-    def time_s(self) -> float:
-        """Scheduled fire time."""
-        return self._event.time_s
-
-
-class EventQueue:
-    """Deterministic timed-callback queue.
-
-    Events scheduled for the same instant fire in insertion order,
-    which keeps multi-controller simulations reproducible.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[_ScheduledEvent] = []
-        self._sequence = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        # O(1): a live-event counter maintained on schedule/cancel/fire
-        # (cells poll the queue length every fluid step).
-        return self._live
-
-    def _push(self, event: _ScheduledEvent) -> None:
-        heapq.heappush(self._heap, event)
-        self._live += 1
-
-    def schedule(self, time_s: float, callback: Callback) -> EventHandle:
-        """Schedule ``callback(fire_time)`` at ``time_s``."""
-        require_non_negative("time_s", time_s)
-        event = _ScheduledEvent(time_s, next(self._sequence), callback)
-        self._push(event)
-        return EventHandle(event, self)
-
-    def schedule_recurring(self, first_time_s: float, interval_s: float,
-                           callback: Callback) -> EventHandle:
-        """Schedule ``callback`` at ``first_time_s`` and every
-        ``interval_s`` thereafter.
-
-        Returns the handle of the *first* occurrence; cancelling it
-        stops the whole recurrence.
-        """
-        require_positive("interval_s", interval_s)
-        handle_box: list[EventHandle] = []
-
-        def fire(now_s: float) -> None:
-            callback(now_s)
-            if not handle_box[0].cancelled:
-                next_event = _ScheduledEvent(
-                    now_s + interval_s, next(self._sequence), fire)
-                self._push(next_event)
-                handle_box[0]._event = next_event
-
-        first = _ScheduledEvent(first_time_s, next(self._sequence), fire)
-        self._push(first)
-        handle = EventHandle(first, self)
-        handle_box.append(handle)
-        return handle
-
-    def next_time(self) -> float | None:
-        """Fire time of the earliest pending event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time_s if self._heap else None
-
-    def run_until(self, time_s: float) -> int:
-        """Fire every event with ``fire time <= time_s``; return count."""
-        fired = 0
-        while True:
-            next_t = self.next_time()
-            if next_t is None or next_t > time_s:
-                if fired and obs.TRACER is not None:
-                    obs.TRACER.emit(obs_events.SIM_EVENTS, time_s,
-                                    fired=fired)
-                return fired
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
-            event.callback(event.time_s)
-            fired += 1
 
 
 def earliest_due(controllers: Iterable[tuple[object, list[float]]]
                  ) -> float:
     """Earliest next-fire time over ``(controller, [next_due])`` pairs.
 
-    The cell driver and the TTI kernel's idle fast-forward both need
-    the nearest interval-controller deadline: the driver to know when
-    a step must actually dispatch, the fast-forward to bound how far
-    the clock may stride without skipping a BAI/sampler firing.
-    Returns ``inf`` when no controller is registered.
+    The TTI kernel's run loop reads it to know when a step must fire
+    controllers before it runs.  Returns ``inf`` when no controller is
+    registered.
     """
     bound = math.inf
     for _, next_due in controllers:

@@ -51,16 +51,6 @@ hoisted but never re-associated).  The inlined bodies mirror
 ``PlayoutBuffer.drain`` and ``CyclicItbsChannel.itbs_at`` — when those
 change, the differential tests in ``tests/sim/test_kernel.py`` fail.
 
-**Idle fast-forward.**  When no flow is backlogged and nothing is due
-— every player finished or not yet started, every TCP window already
-collapsed to its restart value, no step hooks — the kernel advances
-the clock in one stride to the next controller deadline, player start
-time or run end instead of stepping empty TTIs.  The one
-intentionally unmirrored quantity is ``FluidTcp._idle_for_s``, which
-would keep growing past ``idle_reset_s`` during skipped steps; its
-magnitude above the reset threshold is unobservable (the window is
-already reset, and the counter rezeroes on the next backlogged step).
-
 Selection: the fast path is on by default; ``REPRO_KERNEL=0`` (env),
 ``--no-kernel`` (CLI) or :func:`kernel_mode` disable it.
 """
@@ -145,9 +135,9 @@ _MIN_LAZY = 3
 _VEC_MIN = 24
 _VEC_EXIT = 12
 
-#: Environment escape hatch for the vector lane only (the scalar fast
-#: path stays on); any non-empty value disables it.
-_VEC_DISABLED = bool(os.environ.get("REPRO_KERNEL_NO_VEC"))
+#: Structural switch for the vector lane (the scalar fast path stays
+#: on); the differential tests set it for their scalar-lane reference.
+_VEC_DISABLED = False
 
 #: numpy view of the iTbs -> bytes/PRB table for batched lookups.
 _BPP_NP = None if np is None else np.array(BYTES_PER_PRB_TABLE)
@@ -300,8 +290,6 @@ class TtiKernel:
         self._dirty = True
         self._unsupported = False
         self._mirrors_hot = False
-        self._last_idle = True
-        self._ff_steps = 0
         self._sched_obj: Any = None
         self._failed_sched: Any = None
         self._reg_version = -1
@@ -427,11 +415,6 @@ class TtiKernel:
         """True while the fast path is driving this cell."""
         return self._ready and not self._unsupported
 
-    @property
-    def fast_forwarded_steps(self) -> int:
-        """Idle steps skipped by fast-forward so far."""
-        return self._ff_steps
-
     def invalidate(self) -> None:
         """Topology changed: rebuild mirrors at the next boundary."""
         self._dirty = True
@@ -477,8 +460,6 @@ class TtiKernel:
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
                     return False
-            if self._last_idle and self._try_fast_forward(end_gate):
-                continue
             if earliest_due(cell._controllers) <= cell._now_s + 1e-12:
                 self.flush()
                 cell._fire_due_controllers()
@@ -869,68 +850,6 @@ class TtiKernel:
         self._act_stale = True
 
     # ------------------------------------------------------------------
-    # Idle fast-forward
-    # ------------------------------------------------------------------
-    def _try_fast_forward(self, end_gate: float) -> bool:
-        """Stride the clock over provably-empty steps.
-
-        Returns True when at least one step was skipped.  Refuses
-        whenever any per-step work could be observable: step hooks run
-        every step, a backlogged or mid-reset flow evolves TCP state,
-        and a started-but-unfinished player drains its buffer.
-        """
-        cell = self._cell
-        if cell._step_hooks:
-            return False
-        videos = self._videos
-        idle = self._idle
-        reset = self._idle_reset
-        sync = self._idle_sync
-        steps = self._fast_steps
-        for i in range(self._n):
-            video = videos[i]
-            if video is None or video._download_active:
-                return False
-            if sync[i] != steps:
-                # Owed lazy idle-TCP accumulation (fast steps defer
-                # it); replay before the threshold comparison below.
-                self._idle_materialize(i)
-            if idle[i] < reset[i]:
-                # The window has not collapsed to the restart value
-                # yet; skipping steps would skip that transition.
-                return False
-        now = cell._now_s
-        start_bound = math.inf
-        finished = PlaybackState.FINISHED
-        for player in cell._players.values():
-            if player.state is finished:
-                continue
-            if player._pending is not None or player._active is not None:
-                return False
-            start = player.config.start_time_s
-            if now >= start:
-                return False
-            if start < start_bound:
-                start_bound = start
-        ctrl_bound = earliest_due(cell._controllers)
-        step_s = self._step_s
-        skipped = 0
-        # A step at time t is empty iff no controller is due at t, the
-        # step's *end* still precedes every pending player start, and
-        # the run loop would execute it at all.  The clock must advance
-        # by repeated single adds — the same float sequence the object
-        # loop produces.
-        while (now < end_gate and now + 1e-12 < ctrl_bound
-               and now + step_s < start_bound):
-            now += step_s
-            skipped += 1
-        if skipped == 0:
-            return False
-        cell._now_s = now
-        self._ff_steps += skipped
-        return True
-
-    # ------------------------------------------------------------------
     # Event-driven fast step
     # ------------------------------------------------------------------
     def _idle_materialize(self, i: int) -> None:
@@ -1210,7 +1129,7 @@ class TtiKernel:
                 return k, remaining, 0.0
         return cut, None, remaining
 
-    def _vec_step(self, now: float, end: float, step_s: float) -> bool:
+    def _vec_step(self, now: float, end: float, step_s: float) -> None:
         """Full-width numpy claims -> GBR -> PF -> delivery phase.
 
         Byte-identity with the scalar loops rests on three facts:
@@ -1222,8 +1141,6 @@ class TtiKernel:
         the GBR budget walk and the PF waterfill — run as exact
         sequential chains on python floats extracted bit-for-bit from
         the arrays (``_gbr_chain`` and the scalar ``_waterfill``).
-
-        Returns True when any flow had positive demand this step.
         """
         npx = np
         mask = self._v_mask
@@ -1431,7 +1348,6 @@ class TtiKernel:
                 if (not self._dirty
                         and cell.registry.version != self._reg_version):
                     self._resync_registry()
-        return bool(active.any())
 
     def _pl_materialize(self, j: int, end_s: float) -> None:
         """Replay a lazy player's owed steps; the player becomes HOT.
@@ -1663,7 +1579,7 @@ class TtiKernel:
                 self._tbl_bucket = bucket
         if self._vec_hot:
             # --- Vectorised MAC phase (claims .. completions). -------
-            active_any = self._vec_step(now, end, step_s)
+            self._vec_step(now, end, step_s)
         else:
             # --- Claims over the maybe-backlogged set. ---------------
             (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
@@ -1902,7 +1818,6 @@ class TtiKernel:
                     cum_seen[i] = True
                     if end > self._tr_now:
                         self._tr_now = end
-            active_any = bool(active_list)
 
         # --- Playback: hot players only (lazy drains are replayed). --
         hot = self._pl_hot_list
@@ -1925,7 +1840,6 @@ class TtiKernel:
         if hot and self._lazy_ok:
             self._pl_hot_list = [j for j in hot
                                  if not self._pl_try_lazy(j, end)]
-        self._last_idle = not active_any
 
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.

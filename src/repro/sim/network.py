@@ -19,12 +19,16 @@ state.  That independence is what makes three execution modes produce
   takes its next (:func:`~repro.sim.engine.advance_cells_lockstep`);
   the reference schedule the old ``MultiCellScenario`` used.
 * batched (``shards=1``) — each cell runs its whole epoch in one
-  :func:`~repro.sim.kernel.run_cells` kernel invocation.
+  :func:`~repro.sim.kernel.run_cells` kernel invocation, in-process.
 * sharded (``shards>1``) — cells are partitioned into contiguous
   blocks across a persistent process pool
   (:class:`~repro.experiments.parallel.ShardPool`); only cross-shard
   handover blobs and per-cell PRB usage cross shard boundaries, once
   per epoch (intra-shard handovers never serialize anything).
+
+Both kernel modes run one pipelined epoch loop (:meth:`Network.run`);
+``shards=1`` drives it over :class:`LocalShards`, an in-process
+transport with the pool's send/recv protocol.
 
 Handover is planned in the parent from *working points* the shards
 report: at each epoch boundary every shard evaluates its resident
@@ -46,6 +50,7 @@ import math
 import pickle
 import struct
 from dataclasses import dataclass, field
+from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
@@ -140,12 +145,6 @@ class SitePlan:
                 best = cell_id
                 best_loss = loss
         return best
-
-    def advantage_db(self, position: Position, serving: int,
-                     candidate: int) -> float:
-        """How many dB stronger ``candidate`` is than ``serving``."""
-        return self.loss_db(serving, position) - self.loss_db(
-            candidate, position)
 
     def loss_matrix_db(self, xs: Any, ys: Any) -> Any:
         """Path loss toward every site, as a positions × cells matrix.
@@ -519,10 +518,7 @@ class NetworkPlan:
     every shard worker: builders are module-level callables (pickled
     by reference) and all randomness is spawn-keyed off ids carried in
     ``params``.  ``cell_builder(plan, cell_id, penalties)`` returns a
-    fully-wired :class:`BuiltCell`; ``mobility_builder(plan, ue_id)``
-    returns the same trajectory object the cell builder embedded in
-    that UE's channel — the parent uses it to plan handovers without
-    talking to the shards.
+    fully-wired :class:`BuiltCell`.
 
     Attributes:
         exchange_s: epoch length — the handover/interference exchange
@@ -538,7 +534,6 @@ class NetworkPlan:
     sites: SitePlan
     ues: tuple[UePlan, ...]
     cell_builder: Callable[["NetworkPlan", int, PenaltyMap], BuiltCell]
-    mobility_builder: Callable[["NetworkPlan", int], MobilityModel]
     exchange_s: float = 2.0
     coupling_db: float = 0.0
     hysteresis_db: float = 3.0
@@ -891,6 +886,42 @@ class NetworkShard:
         return list(self.manager.records)
 
 
+class LocalShards:
+    """In-process shard transport with ``ShardPool``'s request protocol.
+
+    Each request runs on its shard object when it is sent, and its
+    reply queues per shard, first in, first out — the order contract
+    the pool's pipes give.  :meth:`Network.run` drives ``shards=1``
+    through it, so one epoch loop serves both transports.
+    """
+
+    #: In-process shards share the parent's profiler and tracer, so
+    #: there is no worker-side observability to drain.
+    observing = False
+
+    def __init__(self, shards: Sequence[NetworkShard]) -> None:
+        self._shards = shards
+        self._replies: list[deque[Any]] = [deque() for _ in shards]
+
+    def send(self, shard: int, method: str, *args: Any) -> None:
+        """Run ``method(*args)`` on one shard now; queue its reply."""
+        self._replies[shard].append(
+            getattr(self._shards[shard], method)(*args))
+
+    def recv(self, shard: int) -> Any:
+        """The oldest queued reply of ``shard``."""
+        return self._replies[shard].popleft()
+
+    def broadcast(self, method: str,
+                  per_shard_args: Sequence[tuple[Any, ...]]) -> list[Any]:
+        """Run ``method`` on every shard, in shard order."""
+        return [getattr(shard, method)(*args)
+                for shard, args in zip(self._shards, per_shard_args)]
+
+    def close(self) -> None:
+        """Nothing to release: the shards live in this process."""
+
+
 class Network:
     """The metro world: owns the cells, drives epochs, plans handovers.
 
@@ -960,7 +991,7 @@ class Network:
 
     def _apply_directives(self, directives: Sequence[tuple[int, int, int]],
                           now_s: float, shard_of: Mapping[int, int],
-                          pool: Any, local: NetworkShard | None) -> None:
+                          pool: Any) -> None:
         """Execute one boundary's X2 migrations, split by locality.
 
         Intra-shard moves go through the no-pickle migrate path;
@@ -971,7 +1002,7 @@ class Network:
         Arrival order is part of the byte-identity contract: a cell's
         flows sit in attachment order and the scheduler's float sums
         run in that order, so every cell must take its arrivals in
-        directive (UE-id) order, as the in-process run's single
+        directive (UE-id) order, as a one-shard run's single
         ``migrate_many`` does.  Cross-shard flows are therefore all
         detached first (flows are distinct, so one flow leaving and
         another arriving commute), then each target shard receives its
@@ -979,44 +1010,37 @@ class Network:
         ``migrate_many`` and ``attach_many`` requests, which the
         pool's per-shard FIFO delivers in order.
         """
-        if pool is None:
-            assert local is not None
-            if directives:
-                local.migrate_many([
-                    (source, target, self._flow_of[ue_id], now_s)
-                    for ue_id, source, target in directives])
-        else:
-            detach_of: dict[int, list[tuple[int, int]]] = {}
-            for ue_id, source, target in directives:
-                if shard_of[source] != shard_of[target]:
-                    detach_of.setdefault(shard_of[source], []).append(
-                        (source, self._flow_of[ue_id]))
-            for shard_index, requests in detach_of.items():
-                pool.send(shard_index, "detach_many", requests)
-            blobs: dict[tuple[int, int], bytes] = {}
-            for shard_index, requests in detach_of.items():
-                blobs.update(zip(requests, pool.recv(shard_index)))
-            # Target shard -> runs of (method, items), in directive order.
-            runs: dict[int, list[tuple[str, list[Any]]]] = {}
-            for ue_id, source, target in directives:
-                flow_id = self._flow_of[ue_id]
-                if shard_of[source] == shard_of[target]:
-                    method = "migrate_many"
-                    item: Any = (source, target, flow_id, now_s)
-                else:
-                    method = "attach_many"
-                    item = (target, blobs[source, flow_id], source, now_s)
-                shard_runs = runs.setdefault(shard_of[target], [])
-                if shard_runs and shard_runs[-1][0] == method:
-                    shard_runs[-1][1].append(item)
-                else:
-                    shard_runs.append((method, [item]))
-            for shard_index, shard_runs in runs.items():
-                for method, items in shard_runs:
-                    pool.send(shard_index, method, items)
-            for shard_index, shard_runs in runs.items():
-                for _ in shard_runs:
-                    pool.recv(shard_index)
+        detach_of: dict[int, list[tuple[int, int]]] = {}
+        for ue_id, source, target in directives:
+            if shard_of[source] != shard_of[target]:
+                detach_of.setdefault(shard_of[source], []).append(
+                    (source, self._flow_of[ue_id]))
+        for shard_index, requests in detach_of.items():
+            pool.send(shard_index, "detach_many", requests)
+        blobs: dict[tuple[int, int], bytes] = {}
+        for shard_index, requests in detach_of.items():
+            blobs.update(zip(requests, pool.recv(shard_index)))
+        # Target shard -> runs of (method, items), in directive order.
+        runs: dict[int, list[tuple[str, list[Any]]]] = {}
+        for ue_id, source, target in directives:
+            flow_id = self._flow_of[ue_id]
+            if shard_of[source] == shard_of[target]:
+                method = "migrate_many"
+                item: Any = (source, target, flow_id, now_s)
+            else:
+                method = "attach_many"
+                item = (target, blobs[source, flow_id], source, now_s)
+            shard_runs = runs.setdefault(shard_of[target], [])
+            if shard_runs and shard_runs[-1][0] == method:
+                shard_runs[-1][1].append(item)
+            else:
+                shard_runs.append((method, [item]))
+        for shard_index, shard_runs in runs.items():
+            for method, items in shard_runs:
+                pool.send(shard_index, method, items)
+        for shard_index, shard_runs in runs.items():
+            for _ in shard_runs:
+                pool.recv(shard_index)
         for ue_id, source, target in directives:
             self._serving[ue_id] = target
             self.handover_count += 1
@@ -1119,11 +1143,9 @@ class Network:
             for cell_id in cell_ids:
                 shard_of[cell_id] = index
 
-        pool = None
-        local: NetworkShard | None = None
+        pool: Any
         if shards == 1:
-            local = NetworkShard(self.plan, assignment[0])
-            self._local = local
+            pool = LocalShards([NetworkShard(self.plan, assignment[0])])
         else:
             # Deferred import: repro.experiments pulls in workload
             # scenario modules, which must not load just because the
@@ -1144,7 +1166,7 @@ class Network:
             # (bounded worker memory, per-shard Chrome tracks); the
             # always-on registry alone rides the single final drain in
             # ShardPool.close(), so an unarmed run adds no epoch IPC.
-            drain_epochs = pool is not None and pool.observing
+            drain_epochs = pool.observing
             clock = prof.clock
             recv_wait = [0.0] * shards
             # Boundary 0's working points, then one epoch per loop
@@ -1153,13 +1175,9 @@ class Network:
             # holds the plan for the boundary the loop is entering.
             if profiler is not None:
                 profiler.begin("net.handover")
-            if pool is not None:
-                for index in range(shards):
-                    pool.send(index, "working_points", 0.0)
-                points = [pool.recv(index) for index in range(shards)]
-            else:
-                assert local is not None
-                points = [local.working_points(0.0)]
+            for index in range(shards):
+                pool.send(index, "working_points", 0.0)
+            points = [pool.recv(index) for index in range(shards)]
             directives = self._plan_handovers(points)
             if profiler is not None:
                 profiler.end()
@@ -1172,84 +1190,66 @@ class Network:
                 applied = directives
                 if profiler is not None:
                     profiler.begin("net.handover")
-                self._apply_directives(directives, now, shard_of, pool,
-                                       local)
+                self._apply_directives(directives, now, shard_of, pool)
                 if profiler is not None:
                     profiler.switch("net.advance")
                 tele_rows: list[
                     tuple[int, int, int, int, int, int, float]] = []
-                if pool is not None:
-                    # Pipelined epoch: all requests go out back to
-                    # back per shard; each worker answers the cheap
-                    # working-points probe first and then grinds
-                    # through the epoch's TTIs, so the parent plans
-                    # the *next* boundary's handovers while every
-                    # shard is still simulating this epoch.  Mobility
-                    # is deterministic, which is what makes probing
-                    # the boundary time before the epoch runs exact.
-                    # The telemetry/obs requests ride the same batch
-                    # after ``advance`` — the worker answers them once
-                    # the epoch is done, so they add zero sync points.
-                    for index in range(shards):
-                        if not final:
-                            pool.send(index, "working_points", epoch_end)
-                        pool.send(index, "advance", epoch_end, penalties,
-                                  lockstep)
-                        if collector is not None:
-                            pool.send(index, "epoch_telemetry")
-                        if drain_epochs:
-                            pool.send(index, DRAIN_OBS)
-                    directives = []
+                # Pipelined epoch: all requests go out back to back per
+                # shard; each worker answers the cheap working-points
+                # probe first and then grinds through the epoch's TTIs,
+                # so the parent plans the *next* boundary's handovers
+                # while every shard is still simulating this epoch.
+                # Mobility is deterministic, which is what makes probing
+                # the boundary time before the epoch runs exact.  The
+                # telemetry/obs requests ride the same batch after
+                # ``advance`` — the worker answers them once the epoch
+                # is done, so they add zero sync points.
+                for index in range(shards):
                     if not final:
-                        if profiler is not None:
-                            profiler.begin("net.recv.points")
-                        points = []
-                        for index in range(shards):
-                            started = clock()
-                            points.append(pool.recv(index))
-                            recv_wait[index] += clock() - started
-                        if profiler is not None:
-                            profiler.end()
-                            profiler.switch("net.handover")
-                        directives = self._plan_handovers(points)
-                        if profiler is not None:
-                            profiler.switch("net.advance")
+                        pool.send(index, "working_points", epoch_end)
+                    pool.send(index, "advance", epoch_end, penalties,
+                              lockstep)
+                    if collector is not None:
+                        pool.send(index, "epoch_telemetry")
+                    if drain_epochs:
+                        pool.send(index, DRAIN_OBS)
+                directives = []
+                if not final:
                     if profiler is not None:
-                        profiler.begin("net.recv.usage")
-                    replies = []
+                        profiler.begin("net.recv.points")
+                    points = []
                     for index in range(shards):
                         started = clock()
-                        replies.append(pool.recv(index))
+                        points.append(pool.recv(index))
                         recv_wait[index] += clock() - started
                     if profiler is not None:
                         profiler.end()
-                    if collector is not None or drain_epochs:
-                        if profiler is not None:
-                            profiler.begin("net.recv.obs")
-                        for index in range(shards):
-                            started = clock()
-                            if collector is not None:
-                                tele_rows.extend(pool.recv(index))
-                            if drain_epochs:
-                                pool.merge_obs(pool.recv(index))
-                            recv_wait[index] += clock() - started
-                        if profiler is not None:
-                            profiler.end()
-                else:
-                    assert local is not None
-                    directives = []
-                    if not final:
-                        points = [local.working_points(epoch_end)]
-                    replies = [local.advance(epoch_end, penalties,
-                                             lockstep)]
-                    if collector is not None:
-                        tele_rows.extend(local.epoch_telemetry())
-                    if not final:
-                        if profiler is not None:
-                            profiler.switch("net.handover")
-                        directives = self._plan_handovers(points)
-                        if profiler is not None:
-                            profiler.switch("net.advance")
+                        profiler.switch("net.handover")
+                    directives = self._plan_handovers(points)
+                    if profiler is not None:
+                        profiler.switch("net.advance")
+                if profiler is not None:
+                    profiler.begin("net.recv.usage")
+                replies = []
+                for index in range(shards):
+                    started = clock()
+                    replies.append(pool.recv(index))
+                    recv_wait[index] += clock() - started
+                if profiler is not None:
+                    profiler.end()
+                if collector is not None or drain_epochs:
+                    if profiler is not None:
+                        profiler.begin("net.recv.obs")
+                    for index in range(shards):
+                        started = clock()
+                        if collector is not None:
+                            tele_rows.extend(pool.recv(index))
+                        if drain_epochs:
+                            pool.merge_obs(pool.recv(index))
+                        recv_wait[index] += clock() - started
+                    if profiler is not None:
+                        profiler.end()
                 usages: dict[int, float] = {}
                 for usage, fast in replies:
                     usages.update(usage)
@@ -1267,7 +1267,7 @@ class Network:
                 now = epoch_end
                 epoch_index += 1
 
-            if pool is not None:
+            if shards > 1:
                 loop_wall = clock() - loop_started
                 blocked = [wait / loop_wall if loop_wall > 0.0 else 0.0
                            for wait in recv_wait]
@@ -1280,18 +1280,12 @@ class Network:
                     "occupancy": [1.0 - frac for frac in blocked],
                 }
 
-            if pool is not None:
-                report_maps = pool.broadcast("reports",
-                                             [(duration_s,)] * shards)
-                record_lists = pool.broadcast("handover_records",
-                                              [()] * shards)
-            else:
-                assert local is not None
-                report_maps = [local.reports(duration_s)]
-                record_lists = [local.handover_records()]
+            report_maps = pool.broadcast("reports",
+                                         [(duration_s,)] * shards)
+            record_lists = pool.broadcast("handover_records",
+                                          [()] * shards)
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
 
         reports: dict[int, CellReport] = {}
         for report_map in report_maps:

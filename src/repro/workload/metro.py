@@ -54,9 +54,9 @@ METRO_SCHEMES = ("flare",) + CLIENT_SCHEMES
 def metro_mobility(plan: NetworkPlan, ue_id: int) -> MobilityModel:
     """UE ``ue_id``'s trajectory, reconstructible anywhere.
 
-    Both the parent (for handover planning) and the shard workers (for
-    the channel) call this; the spawn-keyed RNG guarantees they see the
-    same waypoints.
+    Both the plan builder (for each UE's initial cell) and the cell
+    builder (for the channel) call this; the spawn-keyed RNG
+    guarantees they see the same waypoints.
     """
     params = plan.params
     rng = np.random.default_rng([int(params["seed"]), MOBILITY_TAG, ue_id])
@@ -166,13 +166,12 @@ def build_metro_plan(
         "delta": delta,
         "alpha": alpha,
     }
-    # A UE-less probe plan carries params/sites so the mobility builder
-    # can run before the initial cell of each UE is known.
+    # A UE-less probe plan carries params/sites so metro_mobility can
+    # run before the initial cell of each UE is known.
     probe = NetworkPlan(
         sites=sites, ues=(), cell_builder=build_metro_cell,
-        mobility_builder=metro_mobility, exchange_s=exchange_s,
-        coupling_db=coupling_db, hysteresis_db=hysteresis_db,
-        params=params)
+        exchange_s=exchange_s, coupling_db=coupling_db,
+        hysteresis_db=hysteresis_db, params=params)
     count = total_ues if total_ues is not None else num_cells * ues_per_cell
     xs = []
     ys = []
@@ -188,6 +187,5 @@ def build_metro_plan(
            for index, home in enumerate(homes)]
     return NetworkPlan(
         sites=sites, ues=tuple(ues), cell_builder=build_metro_cell,
-        mobility_builder=metro_mobility, exchange_s=exchange_s,
-        coupling_db=coupling_db, hysteresis_db=hysteresis_db,
-        params=params)
+        exchange_s=exchange_s, coupling_db=coupling_db,
+        hysteresis_db=hysteresis_db, params=params)

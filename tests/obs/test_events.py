@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import EVENT_FAMILIES, EVENT_SCHEMA, tracing, uninstall_tracer
 from repro.obs import events as obs_events
-from repro.sim.engine import EventQueue
 from repro.workload.scenarios import build_testbed_scenario
 
 
@@ -97,16 +96,3 @@ class TestTtiAllocEvent:
             assert event["prbs"] > 0 or event["tbs_bytes"] > 0
             assert 0.0 <= event["gbr_prbs"] <= event["prbs"] + 1e-9
             assert event["kind"] in ("video", "data")
-
-
-class TestSimEventsEvent:
-    def test_event_queue_drain_emits_count(self):
-        fired = []
-        queue = EventQueue()
-        queue.schedule(1.0, lambda t: fired.append(t))
-        queue.schedule(2.0, lambda t: fired.append(t))
-        with tracing(ring=8) as tracer:
-            queue.run_until(5.0)
-            events = tracer.ring().of_type(obs_events.SIM_EVENTS)
-        assert events == [{"type": obs_events.SIM_EVENTS, "t": 5.0,
-                           "fired": 2}]

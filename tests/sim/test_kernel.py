@@ -9,12 +9,12 @@ trace, delivered totals, playback) shows up as a serialization or
 buffer-trace diff.  An armed sanitizer or tracer makes the kernel
 decline, so the kernel side runs unarmed and proves it took fast steps.
 
-Fast-forward boundary semantics (stride must stop exactly at
-controller deadlines, player starts and the run end, and a refused or
-zero-length stride must still make progress) get targeted scenarios,
-and the per-TTI reference scheduler pins two properties: the kernel
-refuses cells it cannot mirror, and the fluid path it accelerates
-stays within the reference discipline's agreement envelope.
+Idle stretches get targeted scenarios: every step of a client that
+starts late runs the fused step, and controller deadlines, player
+starts and the run end land on the object path's clock values.  The
+per-TTI reference scheduler pins two properties: the kernel refuses
+cells it cannot mirror, and the fluid path it accelerates stays within
+the reference discipline's agreement envelope.
 """
 
 import pytest
@@ -70,15 +70,15 @@ class TestDifferentialMatrix:
 
 
 # ----------------------------------------------------------------------
-# Idle-TTI fast-forward boundaries
+# Idle stretches and their edges
 # ----------------------------------------------------------------------
 def idle_start_cell(start_time_s: float, sampler_interval_s: float,
                     flare: bool = False):
     """One static-channel video client that starts in the future.
 
-    Until ``start_time_s`` no flow is backlogged, so the kernel may
-    stride — bounded by the sampler's deadlines (and FLARE's BAI
-    controller when ``flare``).
+    Until ``start_time_s`` no flow is backlogged; the sampler's
+    deadlines (and FLARE's BAI controller when ``flare``) still fire
+    during the idle stretch.
     """
     reset_entity_ids()
     mpd = MediaPresentation(ladder=TESTBED_LADDER, segment_duration_s=4.0)
@@ -103,42 +103,47 @@ def run_report(cell, sampler, duration_s):
                                                 duration_s))
 
 
-class TestFastForward:
+class TestIdleStretches:
+    """A client that starts late: kernel == object path, every step."""
+
     def _compare(self, start, interval, duration, flare=False):
         with kernel_mode(True):
             cell, sampler = idle_start_cell(start, interval, flare)
             fast = run_report(cell, sampler, duration)
-            ff_steps = cell._kernel._ff_steps
+            fast_steps = cell._kernel._fast_steps
         with kernel_mode(False):
             cell, sampler = idle_start_cell(start, interval, flare)
             slow = run_report(cell, sampler, duration)
         assert fast == slow
-        return ff_steps
+        return fast_steps
 
-    def test_skips_idle_prefix(self):
-        # 6 s idle gap, 1 s sampler: plenty of whole strides.
-        assert self._compare(6.0, 1.0, 12.0) > 0
+    def test_idle_prefix(self):
+        # 6 s idle gap, 1 s sampler: all 600 steps of the 12 s run take
+        # the fused step, the idle ones included.
+        assert self._compare(6.0, 1.0, 12.0) == 600
 
-    def test_event_exactly_at_stride_edge(self):
+    def test_idle_prefix_with_flare(self):
+        # The same with FLARE's 2 s BAI controller installed.
+        assert self._compare(6.0, 1.0, 12.0, flare=True) == 600
+
+    def test_deadline_at_player_start(self):
         # The sampler's only deadline coincides with the player start:
-        # the stride must stop there so the step covering both runs.
+        # the step covering both fires the sampler, then starts play.
         assert self._compare(5.0, 5.0, 10.0) > 0
 
     def test_bai_edge(self):
-        # FLARE's 2 s BAI controller bounds every stride; firings at
-        # 2/4/... must happen at the same clock values as the object
-        # loop's accumulated float time.
+        # FLARE's 2 s BAI controller fires at 2/4/... during the idle
+        # stretch, at the same clock values as the object loop's
+        # accumulated float time.
         assert self._compare(5.0, 1.0, 12.0, flare=True) > 0
 
-    def test_zero_length_stride_makes_progress(self):
-        # A deadline every single step leaves nothing to skip; the
-        # kernel must fall through to normal stepping, not livelock.
-        ff = self._compare(2.0, 0.02, 4.0)
-        assert ff == 0
+    def test_deadline_every_step(self):
+        # A controller due every single step: a boundary per step.
+        assert self._compare(2.0, 0.02, 4.0) > 0
 
-    def test_no_skip_when_flow_backlogged(self):
+    def test_backlogged_from_start(self):
         # Starting at t=0 there is never an idle window.
-        assert self._compare(0.0, 1.0, 8.0) == 0
+        assert self._compare(0.0, 1.0, 8.0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +171,7 @@ class TestTtiReference:
             cell, sampler = reference_cell()
             fast = run_report(cell, sampler, 12.0)
             assert cell._kernel is not None
-            assert cell._kernel._ff_steps == 0
+            assert cell._kernel._fast_steps == 0
         with kernel_mode(False):
             cell, sampler = reference_cell()
             slow = run_report(cell, sampler, 12.0)

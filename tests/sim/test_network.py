@@ -15,7 +15,6 @@ healthy cell.
 
 import math
 import pickle
-from collections import deque
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from repro.sim import kernel as kernel_mod
 from repro.sim.engine import advance_cells_lockstep
 from repro.sim.kernel import TtiKernel, kernel_mode
 from repro.sim.network import (
+    LocalShards,
     MetroChannel,
     Network,
     NetworkShard,
@@ -154,6 +154,17 @@ class TestObservabilityParity:
         assert '"task":1' in merged and '"task":2' in merged
         assert not list(tmp_path.glob("shard.jsonl.netshard*"))
 
+    def test_one_shard_profiles_the_pipelined_loop(self):
+        # shards=1 runs the sharded epoch loop over the in-process
+        # transport, so its profile opens the same receive spans.
+        plan = small_plan(coupling_db=6.0)
+        recv_spans = {"net.advance/net.recv.points",
+                      "net.advance/net.recv.usage"}
+        for shards in (1, 2):
+            with prof.profiling() as profiler:
+                run_reports(plan, 30.0, shards=shards)
+            assert recv_spans <= set(profiler.snapshot()["stats"])
+
     def test_profiled_sharded_run_keeps_the_fast_path(self):
         # Without a tracer, arming the profiler and the telemetry plane
         # leaves every shard on the kernel: the merged shard-side spans
@@ -174,26 +185,6 @@ class TestObservabilityParity:
                 for event in profiler.chrome_events()} >= {1, 2}
 
 
-class FifoPool:
-    """In-process stand-in for ``ShardPool``'s ``send``/``recv``.
-
-    Each request runs on its shard object when sent and its reply
-    queues per shard, first in, first out — the order contract the
-    real pool's pipes give.
-    """
-
-    def __init__(self, shards):
-        self.shards = shards
-        self.replies = [deque() for _ in shards]
-
-    def send(self, shard, method, *args):
-        self.replies[shard].append(
-            getattr(self.shards[shard], method)(*args))
-
-    def recv(self, shard):
-        return self.replies[shard].popleft()
-
-
 class TestHandoverSemantics:
     def test_sharded_arrivals_keep_directive_order(self):
         """Sharded arrivals attach in UE-id order, as ``shards=1`` does.
@@ -207,17 +198,18 @@ class TestHandoverSemantics:
                                 scheme="flare", seed=0)
         directives = [(0, 3, 1), (1, 0, 1)]
         network = Network(plan)
-        local = NetworkShard(plan, [0, 1, 2, 3])
+        whole = NetworkShard(plan, [0, 1, 2, 3])
         network._apply_directives(directives, 0.0,
-                                  dict.fromkeys(range(4), 0), None, local)
+                                  dict.fromkeys(range(4), 0),
+                                  LocalShards([whole]))
         expected = [flow.flow_id
-                    for flow in local.built(1).cell.video_flows()]
+                    for flow in whole.built(1).cell.video_flows()]
 
         network = Network(plan)
         shards = [NetworkShard(plan, [0, 1]), NetworkShard(plan, [2, 3])]
         network._apply_directives(directives, 0.0,
                                   {0: 0, 1: 0, 2: 1, 3: 1},
-                                  FifoPool(shards), None)
+                                  LocalShards(shards))
         arrived = [flow.flow_id
                    for flow in shards[0].built(1).cell.video_flows()]
         assert arrived == expected
@@ -358,7 +350,7 @@ class TestVectorLane:
 
         A small relative error injected into a single vector-lane
         operand must break byte-identity against the scalar fast path
-        (the ``REPRO_KERNEL_NO_VEC`` configuration).  If this
+        (the ``_VEC_DISABLED`` configuration).  If this
         comparison ever stops detecting the seeded divergence, the
         byte-identity suite is vacuous.
         """

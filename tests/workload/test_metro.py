@@ -46,7 +46,6 @@ class TestBuildMetroPlan:
         plan = build_metro_plan(num_cells=4, ues_per_cell=1)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.cell_builder is build_metro_cell
-        assert clone.mobility_builder is metro_mobility
         assert clone.ues == plan.ues
 
     def test_mobility_is_reconstructible(self):
