@@ -86,7 +86,6 @@ from repro.obs.analyze import (
     render_analysis,
     render_metro_health,
 )
-from repro.sim import kernel_mode
 from repro.workload.scenarios import (
     build_cell_scenario,
     build_mixed_scenario,
@@ -392,10 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "metro health report")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the trace command")
-    parser.add_argument("--no-kernel", action="store_true",
-                        help="run the pure-object TTI loop instead of "
-                             "the vectorized kernel (equivalent to "
-                             "REPRO_KERNEL=0; workers inherit it)")
     return parser
 
 
@@ -430,8 +425,6 @@ def _dispatch(args: argparse.Namespace,
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    kernel_context = (kernel_mode(False) if args.no_kernel
-                      else nullcontext())
     scale_context = full_mode(True) if args.full else nullcontext()
     check_context = chk.checked_run() if args.check else nullcontext()
     # The trace command installs its own tracer; --trace covers the rest.
@@ -443,14 +436,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "profile" else nullcontext())
     telemetry_context = (obs_telemetry.collecting() if args.telemetry
                          else nullcontext())
-    with kernel_context, scale_context, check_context, trace_context, \
+    with scale_context, check_context, trace_context, \
             execution_defaults(jobs=args.jobs,
                                use_cache=not args.no_cache):
         with profile_context as profiler, \
                 telemetry_context as collector:
             with measure(args.command, command=args.command,
-                         full_scale=is_full_run(),
-                         kernel=not args.no_kernel) as record:
+                         full_scale=is_full_run()) as record:
                 status = _dispatch(args, record)
         if profiler is not None:
             record.extra["profile"] = profiler.bench_section()

@@ -48,6 +48,7 @@ from repro.obs import tracer as obs
 from repro.obs.registry import REGISTRY, snapshot_delta
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer, merge_shards
+from repro.util import ShardPoolError
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -370,10 +371,6 @@ def run_matrix(builder: Callable[..., Any],
 # ----------------------------------------------------------------------
 # Persistent shard workers (stateful, unlike the stateless task pool)
 # ----------------------------------------------------------------------
-class ShardPoolError(RuntimeError):
-    """A shard worker failed; carries the worker's traceback text."""
-
-
 #: Reserved request name served by the worker loop itself (never
 #: dispatched to the shard state): reply with the worker's
 #: observability contribution since the previous drain and reset it.
@@ -556,12 +553,30 @@ class ShardPool:
         return (self._parent_profiler is not None
                 or bool(self._trace_shards))
 
+    def _died(self, shard: int, error: BaseException) -> ShardPoolError:
+        """The error for a worker whose pipe broke: it has exited."""
+        process = self._procs[shard]
+        process.join(timeout=5.0)
+        return ShardPoolError(
+            f"shard {shard} worker died (exit code {process.exitcode}; "
+            f"{type(error).__name__} on its pipe)", shard=shard)
+
+    def _send(self, shard: int, message: Any) -> None:
+        try:
+            self._conns[shard].send(message)
+        except (EOFError, OSError) as error:
+            raise self._died(shard, error) from error
+        self._pending[shard] += 1
+
     def _receive(self, shard: int) -> Any:
-        status, payload = self._conns[shard].recv()
+        try:
+            status, payload = self._conns[shard].recv()
+        except (EOFError, OSError) as error:
+            raise self._died(shard, error) from error
         self._pending[shard] -= 1
         if status != "ok":
             raise ShardPoolError(
-                f"shard {shard} worker failed:\n{payload}")
+                f"shard {shard} worker failed:\n{payload}", shard=shard)
         return payload
 
     def send(self, shard: int, method: str, *args: Any) -> None:
@@ -572,16 +587,16 @@ class ShardPool:
         shards (or several to one shard) overlaps their compute with
         the parent's own work.  Every ``send`` must be paired with
         exactly one :meth:`recv` on the same shard, in send order.
+        A dead worker raises :class:`ShardPoolError`.
         """
-        self._conns[shard].send((method, args))
-        self._pending[shard] += 1
+        self._send(shard, (method, args))
 
     def recv(self, shard: int) -> Any:
         """Collect ``shard``'s next pending reply (blocking).
 
         Replies come back in the order the requests were sent to that
-        shard; a worker-side exception surfaces here as
-        :class:`ShardPoolError`.
+        shard; a worker-side exception, or the worker's death, surfaces
+        here as :class:`ShardPoolError`.
         """
         return self._receive(shard)
 
@@ -597,10 +612,8 @@ class ShardPool:
             raise ValueError(
                 f"need one args tuple per shard "
                 f"({len(per_shard_args)} != {len(self._conns)})")
-        for index, (conn, args) in enumerate(zip(self._conns,
-                                                 per_shard_args)):
-            conn.send((method, args))
-            self._pending[index] += 1
+        for index, args in enumerate(per_shard_args):
+            self._send(index, (method, args))
         return [self._receive(index) for index in range(len(self._conns))]
 
     # -- observability drain -------------------------------------------

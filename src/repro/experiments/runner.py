@@ -74,8 +74,9 @@ def full_mode(enabled: bool) -> Iterator[None]:
     restored, so in-process callers (CLI tests, notebooks) can't leak
     paper-scale mode into later work.
     """
-    # Parent-process scale toggle, exported to workers via the
-    # environment (like kernel_mode), not via this module global.
+    # Parent-process scale toggle: the scale is resolved here and
+    # handed to workers in each task's arguments, so this module
+    # global never has to reach them.
     global _FORCED_FULL  # flarelint: disable=FL009
     previous = _FORCED_FULL
     _FORCED_FULL = enabled

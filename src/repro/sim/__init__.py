@@ -9,7 +9,7 @@ it as ``repro.sim.network`` or from the top-level ``repro`` package.
 
 from repro.sim.cell import Cell, CellConfig, IntervalController
 from repro.sim.engine import advance_cells_lockstep, earliest_due
-from repro.sim.kernel import TtiKernel, kernel_enabled, kernel_mode, run_cells
+from repro.sim.kernel import TtiKernel, run_cells
 
 __all__ = [
     "Cell",
@@ -18,7 +18,5 @@ __all__ = [
     "TtiKernel",
     "advance_cells_lockstep",
     "earliest_due",
-    "kernel_enabled",
-    "kernel_mode",
     "run_cells",
 ]

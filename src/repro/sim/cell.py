@@ -4,7 +4,7 @@ One :class:`Cell` models one LTE downlink cell — the unit FLARE's
 OneAPI server optimizes over.  Per fluid MAC step it:
 
 1. fires due *interval controllers* (OneAPI server BAIs, AVIS epochs,
-   metric samplers) through the event queue;
+   metric samplers) in registration order;
 2. lets every HAS player issue segment requests (so new backlog is
    schedulable this step);
 3. runs the scheduler over all flows for the step's PRB budget;
@@ -37,7 +37,7 @@ from repro.obs import events as obs_events
 from repro.obs import prof
 from repro.obs import tracer as obs
 from repro.phy.tbs import PRB_PER_TTI_10MHZ, TTI_MS
-from repro.sim.kernel import TtiKernel, kernel_enabled
+from repro.sim.kernel import TtiKernel
 from repro.util import require_positive
 
 
@@ -107,7 +107,7 @@ class Cell:
         self._usage_snapshots: dict[int, tuple[dict[int, tuple[float, float]], float]] = {}
         self._now_s = 0.0
         self._step_hooks: list[Callable[[float], None]] = []
-        self._kernel: TtiKernel | None = None
+        self._kernel = TtiKernel(self)
 
     # ------------------------------------------------------------------
     # Introspection used by network-side controllers
@@ -161,24 +161,7 @@ class Cell:
     # ------------------------------------------------------------------
     def _invalidate_kernel(self) -> None:
         """Topology changed: the TTI kernel's mirrors must rebuild."""
-        if self._kernel is not None:
-            self._kernel.invalidate()
-
-    def _active_kernel(self) -> TtiKernel | None:
-        """The vectorized fast path, or ``None`` when disabled.
-
-        The kernel instance is created lazily and discarded whenever
-        the selection (``REPRO_KERNEL`` / :func:`kernel_mode`) turns
-        the fast path off, so toggling mid-process never leaves stale
-        mirrors behind.
-        """
-        if not kernel_enabled():
-            self._kernel = None
-            return None
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = TtiKernel(self)
-        return kernel
+        self._kernel.invalidate()
 
     def add_video_flow(self, ue: UserEquipment, mpd: MediaPresentation,
                        abr: AbrAlgorithm,
@@ -288,10 +271,9 @@ class Cell:
         an independent delta view over the cumulative RB/byte trace, so
         multiple controllers never steal each other's reports.
         """
-        if self._kernel is not None:
-            # Mid-run callers (controllers, hooks) already see flushed
-            # state; this covers direct external calls.
-            self._kernel.flush()
+        # Mid-run callers (controllers, hooks) already see flushed
+        # state; this covers direct external calls.
+        self._kernel.flush()
         key = id(consumer)
         previous, previous_time = self._usage_snapshots.get(key, ({}, 0.0))
         report: dict[int, FlowUsage] = {}
@@ -325,8 +307,7 @@ class Cell:
         now = self._now_s
         step_s = self.config.step_s
         end = now + step_s
-        kernel = self._active_kernel()
-        if kernel is not None and kernel.run(end):
+        if self._kernel.run(end):
             return
 
         profiler = prof.PROFILER
@@ -404,8 +385,7 @@ class Cell:
     def run(self, duration_s: float) -> None:
         """Run the simulation until ``now_s >= duration_s``."""
         require_positive("duration_s", duration_s)
-        kernel = self._active_kernel()
-        if kernel is not None and kernel.run(duration_s):
+        if self._kernel.run(duration_s):
             return
         while self._now_s < duration_s - 1e-9:
             self.step()

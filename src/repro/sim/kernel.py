@@ -50,19 +50,16 @@ hoisted but never re-associated).  The inlined bodies mirror
 ``FluidTcp.on_delivered``, ``VideoFlow._consume``,
 ``PlayoutBuffer.drain`` and ``CyclicItbsChannel.itbs_at`` — when those
 change, the differential tests in ``tests/sim/test_kernel.py`` fail.
-
-Selection: the fast path is on by default; ``REPRO_KERNEL=0`` (env),
-``--no-kernel`` (CLI) or :func:`kernel_mode` disable it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import insort
-from contextlib import contextmanager
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Optional
+
+import numpy as np
 
 from repro import check as chk
 from repro.has.buffer import PlayoutBuffer
@@ -85,23 +82,6 @@ from repro.util import require_positive, sequential_replay
 
 if TYPE_CHECKING:
     from repro.sim.cell import Cell
-
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _numpy = None  # type: ignore[assignment]
-
-np: Any = _numpy
-
-#: Environment variable selecting the fast path (default: enabled).
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Values of :data:`KERNEL_ENV` that disable the kernel.
-_DISABLED_VALUES = frozenset({"0", "false", "off", "no"})
-
-#: In-process override of the environment selection (see
-#: :func:`kernel_mode`); mirrors the ``full_mode`` pattern.
-_FORCED: Optional[bool] = None
 
 # Per-slot channel evaluation strategies.
 _CONST = 0    # StaticItbsChannel: bytes/PRB is a constant
@@ -135,12 +115,8 @@ _MIN_LAZY = 3
 _VEC_MIN = 24
 _VEC_EXIT = 12
 
-#: Structural switch for the vector lane (the scalar fast path stays
-#: on); the differential tests set it for their scalar-lane reference.
-_VEC_DISABLED = False
-
 #: numpy view of the iTbs -> bytes/PRB table for batched lookups.
-_BPP_NP = None if np is None else np.array(BYTES_PER_PRB_TABLE)
+_BPP_NP = np.array(BYTES_PER_PRB_TABLE)
 
 #: The checked mirror-coverage allowlist (``Class.attr`` -> reason).
 #:
@@ -158,9 +134,8 @@ _BPP_NP = None if np is None else np.array(BYTES_PER_PRB_TABLE)
 #: reads it from the AST without importing the simulator.
 KERNEL_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
     # -- Cell topology: every mutation funnels through
-    #    Cell._invalidate_kernel(), which discards this kernel so
+    #    Cell._invalidate_kernel(), which marks this kernel dirty so
     #    _rebuild() re-derives all mirrors from scratch.
-    "Cell._kernel": "kernel lifecycle itself; rebuilt on invalidation",
     "Cell._flows": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._players": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._ladders": "topology; mutation invalidates the kernel (rebuild)",
@@ -230,55 +205,13 @@ KERNEL_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
 }
 
 
-def kernel_enabled() -> bool:
-    """True when the vectorized TTI fast path should be used.
-
-    An active :func:`kernel_mode` context wins; otherwise the
-    ``REPRO_KERNEL`` environment convention applies (enabled unless
-    set to ``0``/``false``/``off``/``no``).
-    """
-    if _FORCED is not None:
-        return _FORCED
-    value = os.environ.get(KERNEL_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _DISABLED_VALUES
-
-
-@contextmanager
-def kernel_mode(enabled: bool) -> Iterator[None]:
-    """Scoped override of the fast-path selection.
-
-    Inside the context :func:`kernel_enabled` reports ``enabled``
-    regardless of ``REPRO_KERNEL``.  The environment variable is also
-    set for the duration so worker processes forked by the experiment
-    pool inherit the selection; both are restored on exit.
-    """
-    # Scoped override, mirrored into the environment below precisely
-    # so forked shard workers inherit it deterministically.
-    global _FORCED  # flarelint: disable=FL009
-    previous_forced = _FORCED
-    previous_env = os.environ.get(KERNEL_ENV)
-    _FORCED = enabled
-    os.environ[KERNEL_ENV] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        _FORCED = previous_forced
-        if previous_env is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous_env
-
-
 class TtiKernel:
     """Struct-of-arrays fast path for one :class:`~repro.sim.cell.Cell`.
 
-    Create one per cell (the cell does this lazily) and call
-    :meth:`run`.  It returns ``False`` — with object state left
-    authoritative — when the cell's configuration is outside the
-    kernel's supported envelope or a tracer or sanitizer is installed,
-    in which case the caller runs the object path instead.
+    Each cell builds one in its constructor and calls :meth:`run`, which
+    returns ``False`` — object state left authoritative, and the caller
+    runs the object path instead — when the cell's configuration is
+    outside the supported envelope or a tracer or sanitizer is armed.
     """
 
     def __init__(self, cell: Cell) -> None:
@@ -405,7 +338,6 @@ class TtiKernel:
         self._v_tbl: Any = None        # table-mode slot indices
         self._vg_slots: Any = None     # GBR slots in bearer-rank order
         self._vg_rates: Any = None
-        self._vg_ident = False         # GBR walk == slots 0..n-1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -751,8 +683,7 @@ class TtiKernel:
         # per-slot scalar paths detect).
         self._vec_hot = False
         self._vec_ok = (
-            np is not None and not _VEC_DISABLED
-            and all(m == _CONST or m == _TABLE for m in self._ch_mode)
+            all(m == _CONST or m == _TABLE for m in self._ch_mode)
             and not any(info[4] for info in self._issue_info))
         return True
 
@@ -813,7 +744,6 @@ class TtiKernel:
             self._vg_slots = np.array(
                 [slot for slot, _ in gbr_slots], dtype=np.intp)
             self._vg_rates = np.array([g for _, g in gbr_slots])
-            self._vg_refresh_ident()
         self._reg_version = registry.version
 
     def _reload_mutable(self) -> None:
@@ -914,7 +844,14 @@ class TtiKernel:
         sees garbage — unmasked lanes compute a demand of exactly 0.0
         (their backlog shadow is pinned to 0.0) and are never
         committed or scattered.
+
+        The active set still holds any slot whose download finished on
+        the previous scalar step (the claims loop prunes lazily), so it
+        is rescanned first: masked with a zero backlog such a slot would
+        take the active TCP branch, where the object path accrues idle
+        time.
         """
+        self._act_rescan()
         npx = np
         self._v_cwnd = npx.array(self._cwnd)
         self._v_totals = npx.array(self._totals)
@@ -979,21 +916,7 @@ class TtiKernel:
         if decay > 1.0:
             decay = 1.0
         self._s_decay = decay
-        self._vg_refresh_ident()
         self._vec_hot = True
-
-    def _vg_refresh_ident(self) -> None:
-        """Recompute whether the GBR walk is the identity permutation.
-
-        The metro workload registers one GBR bearer per video flow in
-        flow-creation (= slot) order, so the bearer-rank walk visits
-        slots 0..n-1 — the GBR phase then runs full-width elementwise
-        with no index gathers (see ``_vec_step``).
-        """
-        vg = self._vg_slots
-        self._vg_ident = (
-            vg.size == self._n
-            and bool(np.array_equal(vg, np.arange(self._n))))
 
     def _vec_flush(self) -> None:
         """Scatter vector-owned state back into the list mirrors.
@@ -1110,7 +1033,7 @@ class TtiKernel:
         ``0.0`` (identical to the reference skipping the zero-need
         bearer), and a clamped grant zeroes the budget via
         ``remaining - remaining`` — so the caller can commit every
-        pre-cutoff grant as a vector slice operation.
+        pre-cutoff grant as one vector store.
 
         Returns ``(cut, part, remaining)``: every bearer before
         ``cut`` took its full ask; ``part`` is the clamped PRB grant
@@ -1168,43 +1091,13 @@ class TtiKernel:
         # --- Phase 1: GBR guarantees in bearer-priority order. -------
         a_p = self._s_ap
         a_b = self._s_ab
+        a_p.fill(0.0)
+        a_b.fill(0.0)
         remaining = self._budget
         vg = self._vg_slots
-        if self._vg_ident:
-            # Every slot carries a bearer and rank order == slot
-            # order: asks come straight off the full-width arrays with
-            # no index gathers, and pre-cutoff grants commit as
-            # contiguous slice ops.
-            t1 = self._s_t1
-            npx.minimum(self._vg_rates, fd, out=t1)     # need
-            npx.divide(t1, bpp, out=t1)                 # prbs asked
-            cut, part, remaining = self._gbr_chain(t1.tolist(),
-                                                   remaining)
-            if cut == self._n:
-                # Budget survived the walk: full asks everywhere.
-                npx.copyto(a_p, t1)
-                npx.multiply(t1, bpp, out=a_b)          # delivered
-                npx.subtract(fd, a_b, out=fd)
-            else:
-                a_p.fill(0.0)
-                a_b.fill(0.0)
-                if cut:
-                    npx.copyto(a_p[:cut], t1[:cut])
-                    ab_head = a_b[:cut]
-                    npx.multiply(t1[:cut], bpp[:cut], out=ab_head)
-                    fd_head = fd[:cut]
-                    npx.subtract(fd_head, ab_head, out=fd_head)
-                if part is not None:
-                    got = part * float(bpp[cut])
-                    a_p[cut] = part
-                    a_b[cut] = got
-                    fd[cut] = float(fd[cut]) - got
-        elif vg.size:
-            # Bearer rank order is a general permutation (handovers
-            # splice joining UEs mid-rank): gather in rank order, run
-            # the same budget chain, scatter the pre-cutoff grants.
-            a_p.fill(0.0)
-            a_b.fill(0.0)
+        if vg.size:
+            # Gather in bearer-rank order, run the budget chain, scatter
+            # the pre-cutoff grants.
             d_g = demand[vg]
             b_g = bpp[vg]
             asks = npx.minimum(self._vg_rates, d_g)
@@ -1224,9 +1117,6 @@ class TtiKernel:
                 a_p[slot] = part
                 a_b[slot] = got
                 demand[slot] = float(d_g[cut]) - got
-        else:
-            a_p.fill(0.0)
-            a_b.fill(0.0)
 
         # --- Phase 2: proportional-fair waterfill of the rest. -------
         # (bpp > 0 for every slot in vec mode: only OutageChannel can
@@ -1236,25 +1126,7 @@ class TtiKernel:
             cand = self._s_b2
             npx.greater(demand, 1e-9, out=cand)
             cand_idx = npx.nonzero(cand)[0]
-            n_cand = len(cand_idx)
-            if n_cand == 1:
-                ci = int(cand_idx[0])
-                dc = float(demand[ci])
-                bc = float(bpp[ci])
-                avg = float(self._v_pf[ci])
-                achievable = (bc * 8) / step_s
-                weight = achievable / (avg if avg >= 1e3 else 1e3)
-                share = remaining * weight / weight
-                prb_cap = dc / bc
-                prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                if prbs > 0:
-                    got = prbs * bc
-                    if got > dc:
-                        got = dc
-                    demand[ci] = dc - got
-                    a_p[ci] += prbs
-                    a_b[ci] += got
-            elif n_cand:
+            if cand_idx.size:
                 dc = demand[cand_idx]
                 bc = bpp[cand_idx]
                 ach = (bc * 8) / step_s
@@ -1913,10 +1785,10 @@ def run_cells(cells: Sequence[Cell], until_s: float) -> int:
     so instead of the lockstep per-step Python loop — N cells x M
     steps of interleaved ``Cell.step()`` dispatch — each cell's whole
     epoch runs as a single :meth:`TtiKernel.run` call over its
-    struct-of-arrays mirrors.  Cells whose configuration the kernel
-    cannot mirror (or with the kernel disabled) fall back to their
-    object step loop, cell by cell; either way every cell reaches
-    ``until_s`` and ends on a flushed observation boundary.
+    struct-of-arrays mirrors.  Cells the kernel declines (an
+    unmirrorable configuration, an armed tracer or sanitizer) fall back
+    to their object step loop, cell by cell; either way every cell
+    reaches ``until_s`` and ends on a flushed observation boundary.
 
     Returns:
         The number of cells that ran on the fast path (feeds the
@@ -1927,8 +1799,7 @@ def run_cells(cells: Sequence[Cell], until_s: float) -> int:
     for cell in cells:
         if cell.now_s >= until_s - 1e-9:
             continue
-        kernel = cell._active_kernel()
-        if kernel is not None and kernel.run(until_s):
+        if cell._kernel.run(until_s):
             fast += 1
             continue
         while cell.now_s < until_s - 1e-9:

@@ -17,7 +17,7 @@ state.  That independence is what makes three execution modes produce
 
 * ``lockstep`` — every cell advances one fluid step before any cell
   takes its next (:func:`~repro.sim.engine.advance_cells_lockstep`);
-  the reference schedule the old ``MultiCellScenario`` used.
+  the reference schedule, which ``MultiCellScenario`` also uses.
 * batched (``shards=1``) — each cell runs its whole epoch in one
   :func:`~repro.sim.kernel.run_cells` kernel invocation, in-process.
 * sharded (``shards>1``) — cells are partitioned into contiguous
@@ -81,8 +81,9 @@ from repro.phy.pathloss import LinkBudget, LogDistancePathLoss
 from repro.phy.tbs import PRB_PER_TTI_10MHZ, TTI_MS
 from repro.sim.cell import Cell
 from repro.sim.engine import advance_cells_lockstep
-from repro.sim.kernel import kernel_enabled, run_cells
+from repro.sim.kernel import run_cells
 from repro.util import (
+    ShardPoolError,
     cross_shard_message,
     require_non_negative,
     require_positive,
@@ -705,9 +706,9 @@ class NetworkShard:
         """Run every cell of the shard to the epoch boundary.
 
         Installs the epoch's frozen interference penalties, primes
-        every channel's per-bucket iTbs table for the epoch (kernel
-        mode only — the lockstep reference keeps the pure scalar
-        path), fires the BAI boundaries due at the epoch start (in
+        every channel's per-bucket iTbs table for the epoch (batched
+        and sharded modes only — the lockstep reference keeps the pure
+        scalar path), fires the BAI boundaries due at the epoch start (in
         every mode, through the scalar controller), advances all
         cells (one fused kernel invocation per cell, or the per-step
         lockstep reference schedule), and returns ``(cumulative PRBs
@@ -715,7 +716,7 @@ class NetworkShard:
         """
         self.penalties.replace(penalties)
         cells = [built.cell for built in self._built.values()]
-        if not lockstep and cells and kernel_enabled():
+        if not lockstep and cells:
             self._prime_epoch(cells, epoch_end_s)
         self._bai_sweep.sweep(cells)
         if lockstep:
@@ -1156,6 +1157,8 @@ class Network:
                               for cell_ids in assignment])
 
         self.pipeline = {}
+        now = 0.0
+        epoch_index = 0
         try:
             usage_prev = dict.fromkeys(range(num_cells), 0.0)
             util = dict.fromkeys(range(num_cells), 0.0)
@@ -1181,8 +1184,6 @@ class Network:
             directives = self._plan_handovers(points)
             if profiler is not None:
                 profiler.end()
-            now = 0.0
-            epoch_index = 0
             loop_started = clock()
             while now < duration_s - 1e-9:
                 epoch_end = min(now + self.plan.exchange_s, duration_s)
@@ -1284,6 +1285,14 @@ class Network:
                                          [(duration_s,)] * shards)
             record_lists = pool.broadcast("handover_records",
                                           [()] * shards)
+        except ShardPoolError as error:
+            shard = error.shard
+            if shard is None:
+                raise
+            raise ShardPoolError(
+                f"epoch {epoch_index} (t={now:g} s), shard {shard} "
+                f"(cells {assignment[shard]}): {error}",
+                shard=shard) from error
         finally:
             pool.close()
 

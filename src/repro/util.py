@@ -19,6 +19,19 @@ _ReplayF = TypeVar("_ReplayF", bound=Callable[..., Any])
 _MessageT = TypeVar("_MessageT")
 
 
+class ShardPoolError(RuntimeError):
+    """A shard worker failed (traceback text) or died (exit code).
+
+    ``shard`` is the index of the failed shard.  Raised by
+    :class:`repro.experiments.parallel.ShardPool`; defined here so the
+    sim layer can catch it without importing the experiments package.
+    """
+
+    def __init__(self, message: str, shard: int | None = None) -> None:
+        super().__init__(message)
+        self.shard = shard
+
+
 def sequential_replay(func: _ReplayF) -> _ReplayF:
     """Mark a sanctioned order-sensitive sequential-replay helper.
 

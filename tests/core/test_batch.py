@@ -24,7 +24,7 @@ from repro.net.flows import UserEquipment
 from repro.obs.tracer import tracing
 from repro.phy.channel import CyclicItbsChannel, StaticItbsChannel
 from repro.sim.cell import Cell, CellConfig
-from repro.sim.kernel import TtiKernel, kernel_mode
+from repro.sim.kernel import TtiKernel
 
 
 def build_system(num_video=3, num_data=1, channel=None, bai_s=2.0,
@@ -118,13 +118,12 @@ def run_twins(duration_s=30.0, hooks=(), checked=True, **build_kwargs):
     results = []
     for sweep in (False, True):
         cell, flare, players = build_system(**build_kwargs)
-        with kernel_mode(True):
-            drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
+        drive(cell, flare, duration_s, sweep=sweep, hooks=hooks)
         assert cell._kernel._fast_steps > 0
         results.append(world_facts(cell, flare, players))
     if checked:
         cell, flare, players = build_system(**build_kwargs)
-        with chk.checked_run(), kernel_mode(False):
+        with chk.checked_run():
             drive(cell, flare, duration_s, hooks=hooks)
         assert world_facts(cell, flare, players) == results[0]
     return results

@@ -1,6 +1,7 @@
 """Tests for the parallel, cached experiment-execution layer."""
 
 import dataclasses
+import os
 import time
 
 import pytest
@@ -183,6 +184,9 @@ class SlowEcho:
     def boom(self):
         raise RuntimeError("deliberate shard failure")
 
+    def die(self, code):
+        os._exit(code)
+
     def big(self, size):
         # A reply large enough that the worker's pipe write blocks
         # until the parent reads it (OS pipe buffers are ~64 KiB).
@@ -229,6 +233,23 @@ class TestShardPoolPipelining:
             # The worker stays alive: the pipelined follow-up still
             # runs, and the failed call did not bump the state.
             assert pool.recv(0) == (0, 1, "after")
+
+    def test_dead_worker_raises_with_shard_and_exit_code(self):
+        pool = ShardPool(SlowEcho, [(0, 0.0), (1, 0.0)])
+        pool.send(1, "die", 3)
+        with pytest.raises(ShardPoolError,
+                           match=r"shard 1 worker died \(exit code 3") as info:
+            pool.recv(1)
+        assert info.value.shard == 1
+        # Its pipe stays broken; the other shard keeps serving.
+        with pytest.raises(ShardPoolError, match="shard 1") as info:
+            pool.send(1, "compute", "late")
+        assert info.value.shard == 1
+        pool.send(0, "compute", "a")
+        assert pool.recv(0) == (0, 1, "a")
+        procs = list(pool._procs)
+        pool.close()
+        assert not any(proc.is_alive() for proc in procs)
 
     def test_close_drains_unconsumed_pipelined_replies(self):
         # Replies big enough to fill the OS pipe buffer: the worker

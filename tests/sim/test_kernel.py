@@ -30,18 +30,16 @@ from repro.metrics.serialize import dump_cell_report
 from repro.net.flows import UserEquipment, reset_entity_ids
 from repro.obs.tracer import tracing
 from repro.phy.channel import OutageChannel, StaticItbsChannel
-from repro.sim import Cell, CellConfig, kernel_mode
+from repro.sim import Cell, CellConfig
 from repro.workload.multicell import build_multicell_scenario
 from repro.workload.scenarios import build_testbed_scenario
 
 
-def _testbed_run(scheme: str, seed: int, kernel: bool, **kwargs):
+def _testbed_run(scheme: str, seed: int, **kwargs):
     """One 30 s testbed run: the scenario and its report dump."""
-    with kernel_mode(kernel):
-        scenario = build_testbed_scenario(scheme, seed=seed,
-                                          duration_s=30.0, **kwargs)
-        report = dump_cell_report(scenario.run())
-    return scenario, report
+    scenario = build_testbed_scenario(scheme, seed=seed,
+                                      duration_s=30.0, **kwargs)
+    return scenario, dump_cell_report(scenario.run())
 
 
 def buffer_traces(players):
@@ -54,8 +52,8 @@ class TestDifferentialMatrix:
 
     def _compare(self, scheme, seed, **kwargs):
         with chk.checked_run():
-            ref, slow = _testbed_run(scheme, seed, kernel=False, **kwargs)
-        run, fast = _testbed_run(scheme, seed, kernel=True, **kwargs)
+            ref, slow = _testbed_run(scheme, seed, **kwargs)
+        run, fast = _testbed_run(scheme, seed, **kwargs)
         assert run.cell._kernel._fast_steps > 0
         assert fast == slow
         assert buffer_traces(run.players) == buffer_traces(ref.players)
@@ -107,11 +105,10 @@ class TestIdleStretches:
     """A client that starts late: kernel == object path, every step."""
 
     def _compare(self, start, interval, duration, flare=False):
-        with kernel_mode(True):
-            cell, sampler = idle_start_cell(start, interval, flare)
-            fast = run_report(cell, sampler, duration)
-            fast_steps = cell._kernel._fast_steps
-        with kernel_mode(False):
+        cell, sampler = idle_start_cell(start, interval, flare)
+        fast = run_report(cell, sampler, duration)
+        fast_steps = cell._kernel._fast_steps
+        with chk.checking():
             cell, sampler = idle_start_cell(start, interval, flare)
             slow = run_report(cell, sampler, duration)
         assert fast == slow
@@ -167,12 +164,10 @@ class TestTtiReference:
     def test_kernel_refuses_reference_scheduler(self):
         # The reference discipline is not mirrorable; the cell must
         # fall back to the object path and still finish correctly.
-        with kernel_mode(True):
-            cell, sampler = reference_cell()
-            fast = run_report(cell, sampler, 12.0)
-            assert cell._kernel is not None
-            assert cell._kernel._fast_steps == 0
-        with kernel_mode(False):
+        cell, sampler = reference_cell()
+        fast = run_report(cell, sampler, 12.0)
+        assert cell._kernel._fast_steps == 0
+        with chk.checking():
             cell, sampler = reference_cell()
             slow = run_report(cell, sampler, 12.0)
         assert fast == slow
@@ -192,9 +187,8 @@ class TestTtiReference:
             cell.run(20.0)
             return sum(f.total_delivered_bytes for f in cell._flows)
 
-        with kernel_mode(True):
-            fluid = total(None)
-        with kernel_mode(False):
+        fluid = total(None)
+        with chk.checking():
             reference = total(TtiReferenceScheduler())
         assert fluid == pytest.approx(reference, rel=0.1)
 
@@ -204,24 +198,22 @@ class TestTtiReference:
 # ----------------------------------------------------------------------
 class TestDeclineRules:
     def test_tracer_makes_the_kernel_decline(self):
-        with kernel_mode(True):
-            cell, _ = idle_start_cell(0.0, 1.0)
-            kernel = cell._active_kernel()
-            with tracing(ring=True) as tracer:
-                assert kernel.run(4.0) is False
-                cell.run(4.0)
+        cell, _ = idle_start_cell(0.0, 1.0)
+        kernel = cell._kernel
+        with tracing(ring=True) as tracer:
+            assert kernel.run(4.0) is False
+            cell.run(4.0)
         assert kernel._fast_steps == 0
         # The object path emitted the per-step heartbeat.
         steps = tracer.ring().of_type("sim.step")
         assert len(steps) == round(cell.now_s / cell.config.step_s)
 
     def test_sanitizer_declines_and_checks_every_step(self):
-        with kernel_mode(True):
-            cell, _ = idle_start_cell(0.0, 1.0)
-            kernel = cell._active_kernel()
-            with chk.checked_run() as checker:
-                assert kernel.run(4.0) is False
-                cell.run(4.0)
+        cell, _ = idle_start_cell(0.0, 1.0)
+        kernel = cell._kernel
+        with chk.checked_run() as checker:
+            assert kernel.run(4.0) is False
+            cell.run(4.0)
         assert kernel._fast_steps == 0
         assert (checker.counts["rb_conservation"]
                 == round(cell.now_s / cell.config.step_s))
@@ -229,7 +221,7 @@ class TestDeclineRules:
     def test_outage_channel_declines(self):
         # OutageChannel has its own bytes_per_prb_at (0.0 in an
         # outage), which the fused step's TBS-table chain cannot mirror.
-        def report(kernel):
+        def report():
             reset_entity_ids()
             mpd = MediaPresentation(ladder=TESTBED_LADDER,
                                     segment_duration_s=4.0)
@@ -239,30 +231,30 @@ class TestDeclineRules:
                                 PlayerConfig(request_threshold_s=12.0))
             sampler = MetricsSampler(interval_s=1.0)
             cell.add_controller(sampler)
-            with kernel_mode(kernel):
-                return cell, run_report(cell, sampler, 12.0)
+            return cell, run_report(cell, sampler, 12.0)
 
-        cell, fast = report(True)
-        assert cell._kernel is not None and not cell._kernel.active
+        cell, fast = report()
+        assert not cell._kernel.active
         assert cell._kernel._fast_steps == 0
-        _, slow = report(False)
+        with chk.checking():
+            _, slow = report()
         assert fast == slow
 
     def test_step_hooks_and_lockstep_run_the_fast_step(self):
         # Interference coupling installs a step hook on every cell, and
         # the multi-cell scenario advances its cells in lockstep through
         # Cell.step(): each of those steps runs on the fused step.
-        def run(kernel):
-            with kernel_mode(kernel):
-                scenario = build_multicell_scenario(
-                    num_cells=2, clients_per_cell=4, duration_s=60.0,
-                    interference_coupling_db=6.0)
-                reports = scenario.run()
+        def run():
+            scenario = build_multicell_scenario(
+                num_cells=2, clients_per_cell=4, duration_s=60.0,
+                interference_coupling_db=6.0)
+            reports = scenario.run()
             return scenario, {cell_id: dump_cell_report(report)
                               for cell_id, report in reports.items()}
 
-        fast_run, fast = run(True)
-        slow_run, slow = run(False)
+        fast_run, fast = run()
+        with chk.checking():
+            slow_run, slow = run()
         assert fast == slow
         for cell_id, cell in fast_run.cells.items():
             assert cell._step_hooks

@@ -14,6 +14,8 @@ healthy cell.
 """
 
 import math
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -21,15 +23,15 @@ import pytest
 
 from repro import check as chk
 from repro.core.plugin import FlarePlugin
+from repro.experiments.parallel import ShardPoolError
 from repro.has.player import PlaybackState
 from repro.metrics.serialize import dump_cell_report
 from repro.obs import prof
 from repro.obs.telemetry import collecting
 from repro.obs.tracer import tracing
 from repro.phy.channel import StaticItbsChannel
-from repro.sim import kernel as kernel_mod
 from repro.sim.engine import advance_cells_lockstep
-from repro.sim.kernel import TtiKernel, kernel_mode
+from repro.sim.kernel import TtiKernel
 from repro.sim.network import (
     LocalShards,
     MetroChannel,
@@ -69,8 +71,7 @@ class TestDifferentialMatrix:
     def test_three_modes_byte_identical(self, scheme, seed, coupling_db):
         plan = small_plan(scheme, seed, coupling_db)
         with chk.checked_run():
-            with kernel_mode(False):
-                ref_net, ref = run_reports(plan, 30.0, lockstep=True)
+            ref_net, ref = run_reports(plan, 30.0, lockstep=True)
         bat_net, batched = run_reports(plan, 30.0, shards=1)
         shard_net, sharded = run_reports(plan, 30.0, shards=2)
         assert bat_net.kernel_cell_runs > 0
@@ -96,6 +97,33 @@ class TestDifferentialMatrix:
         with pytest.raises(ValueError):
             network.run(10.0, shards=2, lockstep=True)
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched advance reaches the "
+                               "workers by fork only")
+    def test_dead_worker_names_shard_epoch_and_cells(self, monkeypatch):
+        plan = small_plan()
+        advance = NetworkShard.advance
+
+        def dying_advance(shard, epoch_end_s, penalties, lockstep=False):
+            # Shard 0 (cells 0 and 1) dies in epoch 3, after three
+            # epochs ran.
+            if shard.cell_ids[0] == 0 and epoch_end_s > 3 * plan.exchange_s:
+                os._exit(3)
+            return advance(shard, epoch_end_s, penalties, lockstep)
+
+        monkeypatch.setattr(NetworkShard, "advance", dying_advance)
+        before = set(multiprocessing.active_children())
+        # Network.run closes the pool on the way out: reaching the
+        # assertions means close() returned and reaped both workers.
+        with pytest.raises(ShardPoolError) as info:
+            Network(plan).run(30.0, shards=2)
+        assert set(multiprocessing.active_children()) <= before
+        message = str(info.value)
+        assert info.value.shard == 0
+        assert "exit code 3" in message
+        assert f"epoch 3 (t={3 * plan.exchange_s:g} s)" in message
+        assert "shard 0 (cells [0, 1])" in message
+
 
 class TestObservabilityParity:
     """Arming the telemetry plane never changes simulation results.
@@ -117,9 +145,8 @@ class TestObservabilityParity:
                 network, dumps = run_reports(plan, 30.0, **mode_kwargs)
             return network, dumps, collector.records, profiler
 
-        with kernel_mode(False):
-            _, lock, lock_tel, _ = armed(tmp_path / "lock.jsonl",
-                                         lockstep=True)
+        _, lock, lock_tel, _ = armed(tmp_path / "lock.jsonl",
+                                     lockstep=True)
         bat_net, bat, bat_tel, _ = armed(tmp_path / "bat.jsonl",
                                          shards=1)
         net, shard, shard_tel, profiler = armed(
@@ -313,22 +340,20 @@ def dense_plan(seed=0, ues_per_cell=64):
 
 
 class TestVectorLane:
-    """The numpy MAC lane == the scalar fast path == lockstep."""
+    """The numpy MAC lane == lockstep == sharded."""
 
-    @pytest.mark.parametrize("seed,shards", [(0, 2), (3, 2)])
-    def test_vec_scalar_lockstep_sharded_identical(self, seed, shards,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("seed,shards", [(0, 2), (2, 2), (3, 2)])
+    def test_vec_lockstep_sharded_identical(self, seed, shards,
+                                            monkeypatch):
         # The sanitizer guards the lockstep reference only: an armed
         # CHECKER makes the kernel decline (TtiKernel._enter), so the
         # fast paths under test must run unchecked to engage at all.
+        # In seed 2, a slot whose download completed on the scalar
+        # step just before the lane engaged changes the reports unless
+        # _vec_gather prunes it.
         plan = dense_plan(seed)
         with chk.checked_run():
-            with kernel_mode(False):
-                _, ref = run_reports(plan, 30.0, lockstep=True)
-        # Scalar fast path: vector lane structurally disabled.
-        monkeypatch.setattr(kernel_mod, "_VEC_DISABLED", True)
-        _, scalar = run_reports(plan, 30.0, shards=1)
-        monkeypatch.setattr(kernel_mod, "_VEC_DISABLED", False)
+            _, ref = run_reports(plan, 30.0, lockstep=True)
         # Vector lane, with a spy proving it actually engaged.
         engaged = []
         orig_gather = TtiKernel._vec_gather
@@ -341,23 +366,19 @@ class TestVectorLane:
         _, vec = run_reports(plan, 30.0, shards=1)
         assert engaged, "vector lane never engaged; raise ues_per_cell"
         _, sharded = run_reports(plan, 30.0, shards=shards)
-        assert ref == scalar
-        assert scalar == vec
+        assert ref == vec
         assert vec == sharded
 
     def test_perturbed_vec_lane_is_detected(self, monkeypatch):
         """The differential harness has teeth.
 
         A small relative error injected into a single vector-lane
-        operand must break byte-identity against the scalar fast path
-        (the ``_VEC_DISABLED`` configuration).  If this
-        comparison ever stops detecting the seeded divergence, the
-        byte-identity suite is vacuous.
+        operand must break byte-identity against the unperturbed
+        lane.  If this comparison ever stops detecting the seeded
+        divergence, the byte-identity suite is vacuous.
         """
         plan = dense_plan(0)
-        monkeypatch.setattr(kernel_mod, "_VEC_DISABLED", True)
-        _, scalar = run_reports(plan, 30.0, shards=1)
-        monkeypatch.setattr(kernel_mod, "_VEC_DISABLED", False)
+        _, clean = run_reports(plan, 30.0, shards=1)
 
         engaged = []
         orig_step = TtiKernel._vec_step
@@ -373,7 +394,7 @@ class TestVectorLane:
         monkeypatch.setattr(TtiKernel, "_vec_step", perturbing_step)
         _, perturbed = run_reports(plan, 30.0, shards=1)
         assert engaged, "vector lane never engaged; raise ues_per_cell"
-        assert perturbed != scalar
+        assert perturbed != clean
 
     def test_empty_cells_and_singleton_shards(self):
         # 2 UEs across a 4-cell grid: some cells start empty, and with
@@ -383,8 +404,7 @@ class TestVectorLane:
                                 isd_m=300.0, coupling_db=6.0, total_ues=2)
         assert len({ue.cell_id for ue in plan.ues}) < 4
         with chk.checked_run():
-            with kernel_mode(False):
-                _, ref = run_reports(plan, 30.0, lockstep=True)
+            _, ref = run_reports(plan, 30.0, lockstep=True)
         bat_net, batched = run_reports(plan, 30.0, shards=1)
         shard_net, sharded = run_reports(plan, 30.0, shards=4)
         assert bat_net.kernel_cell_runs > 0
