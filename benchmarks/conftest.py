@@ -6,7 +6,8 @@ writes its rendered text to ``benchmarks/output/<name>.txt`` so a full
 reproduction artifacts behind.  Alongside each rendered artifact, an
 autouse fixture emits a machine-readable ``BENCH_<test>.json`` (wall
 time, cells executed vs served from cache, worker count, aggregate
-QoE metrics) that CI uploads to track the perf trajectory PR over PR.
+QoE metrics) into the same directory.  No CI job runs these
+benchmarks yet; tier-1 CI runs ``tests/`` only.
 
 Scale: benchmarks default to the reduced quick scale (so the suite
 finishes in minutes); set ``REPRO_FULL=1`` for paper-fidelity runs

@@ -157,10 +157,7 @@ def _metro_command(args: argparse.Namespace,
     Shard counts swept: 1 plus the resolved ``--jobs`` count (when
     more than one worker is configured), so the emitted
     ``BENCH_metro.json`` always contains the 1-shard baseline the
-    speedup column is relative to.  ``--ues N`` adds the UE-count
-    axis: sharded runs at the 1k/10k/100k ladder points below ``N``
-    plus ``N`` itself, each over a shorter window (at most 20 s) so
-    the 100k point completes on CI-class hardware.
+    speedup column is relative to.
     """
     jobs = resolve_jobs(None)
     shard_counts = (1,) if jobs <= 1 else (1, jobs)
@@ -170,29 +167,20 @@ def _metro_command(args: argparse.Namespace,
                     else (10 if is_full_run() else 4))
     duration = (float(args.duration) if args.duration is not None
                 else (120.0 if is_full_run() else 40.0))
-    ue_counts = None
-    if args.ues:
-        ladder = (1_000, 10_000, 100_000)
-        ue_counts = [count for count in ladder if count < args.ues]
-        ue_counts.append(args.ues)
     study = run_metro_scaling(
         num_cells=num_cells, ues_per_cell=ues_per_cell,
         duration_s=duration, shard_counts=shard_counts,
-        scheme=args.scheme if args.scheme else "flare", seed=args.seed,
-        ue_counts=ue_counts, ue_duration_s=min(duration, 20.0))
+        scheme=args.scheme if args.scheme else "flare", seed=args.seed)
     if record is not None:
         record.extra["scaling"] = study
     lines = [f"metro scaling study: {study['cells']} cells, "
              f"{study['ues']} UEs, {study['duration_s']:g} s simulated",
-             f"{'shards':>7} {'ues':>8} {'wall_s':>9} {'speedup':>8} "
+             f"{'shards':>7} {'wall_s':>9} {'speedup':>8} "
              f"{'UE-s/s':>10} {'handovers':>10} {'kernel_cells':>13}"]
     for row in study["rows"]:
-        speedup = (f"{row['speedup']:>8.2f}" if "speedup" in row
-                   else f"{'-':>8}")
-        lines.append(f"{row['shards']:>7} {row['ues']:>8} "
-                     f"{row['wall_time_s']:>9.2f} {speedup} "
-                     f"{row['ues_per_s']:>10.0f} {row['handovers']:>10} "
-                     f"{row['kernel_cell_runs']:>13}")
+        lines.append(f"{row['shards']:>7} {row['wall_time_s']:>9.2f} "
+                     f"{row['speedup']:>8.2f} {row['ues_per_s']:>10.0f} "
+                     f"{row['handovers']:>10} {row['kernel_cell_runs']:>13}")
     return "\n".join(lines)
 
 
@@ -201,8 +189,8 @@ def _profile_command(args: argparse.Namespace) -> None:
 
     Only the profiled run happens here (inside the measured region);
     trace export and the text report are emitted afterwards by
-    :func:`_profile_export`, so they do not inflate the measured wall
-    time the perf gate compares against profiling-off runs.
+    :func:`_profile_export`, so they do not inflate the wall time
+    ``BENCH_profile.json`` records for the run.
     """
     profiler = prof.current()
     assert profiler is not None  # installed by main() for this command
@@ -376,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="metro command: UEs per cell "
                              "(default: 4, or 10 with --full)")
-    parser.add_argument("--ues", type=int, default=None, metavar="N",
-                        help="metro command: add the UE-count scaling "
-                             "axis — sharded runs at the 1k/10k/100k "
-                             "ladder points below N, plus N itself")
     parser.add_argument("--telemetry", default=None, metavar="PATH",
                         help="metro command (also under profile): "
                              "write per-epoch per-cell health rollups "

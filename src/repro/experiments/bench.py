@@ -2,10 +2,12 @@
 
 Every figure/table command of the CLI and every benchmark in
 ``benchmarks/`` emits one JSON artifact recording how the run
-executed (wall time, worker count, cells executed vs served from
-cache) and what it produced (aggregate QoE metrics), so the
-performance trajectory of the reproduction is tracked PR over PR —
-CI uploads the files as build artifacts.
+executed (wall time, worker count, the host's core count, cells
+executed vs served from cache) and what it produced (aggregate QoE
+metrics).  An artifact describes one run on one host: comparing wall
+times across hosts measures the hosts.  Speed is compared by
+``tools/bench_pair.py``, which runs the ``perfbench/`` benchmark on
+two checkouts on the same host.
 
 Usage::
 
@@ -35,13 +37,13 @@ from repro.obs.registry import REGISTRY, registry_delta
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
 #: Artifact schema version (bump on shape changes).
-BENCH_SCHEMA_VERSION = 2
+BENCH_SCHEMA_VERSION = 3
 
 #: Fields that vary run-to-run/machine-to-machine by construction.
-#: Artifact-diffing (tests, the CI perf gate) must ignore these and
-#: compare the rest — see :func:`comparable_dict`.
+#: Artifact-diffing must ignore these and compare the rest — see
+#: :func:`comparable_dict`.
 VOLATILE_BENCH_FIELDS = frozenset({
-    "timestamp", "git_rev", "host", "python",
+    "timestamp", "git_rev", "host", "cpu_count", "python",
     "wall_time_s", "obs", "profile",
 })
 
@@ -130,6 +132,7 @@ class BenchRecord:
                 datetime.timezone.utc).isoformat(timespec="seconds"),
             "git_rev": _git_revision(),
             "host": platform.node(),
+            "cpu_count": os.cpu_count(),
             "wall_time_s": self.wall_time_s,
             "jobs": self.jobs,
             "runs_executed": self.runs_executed,

@@ -1,19 +1,19 @@
-"""Metro scaling study: cells × shards × UEs → wall time, UEs/sec.
+"""Metro scaling study: cells × shards → wall time, UE-s/s.
 
 Drives the multi-cell :class:`~repro.sim.network.Network` over a range
-of shard counts on the *same* plan — and optionally over a range of UE
-populations — so the resulting ``BENCH_metro.json`` answers the
-deployment questions the single-cell benchmarks cannot: how wall time
-scales with worker processes, how throughput (``ues_per_s``,
-simulated UE-seconds per wall-clock second) scales with population,
-how many handovers the mobility model generates, and whether per-cell
-QoE is stable across execution modes (it must be — the sharded path
-is byte-identical to the reference, see ``tests/sim/test_network.py``).
+of shard counts on the *same* plan, so the resulting
+``BENCH_metro.json`` answers the deployment questions the single-cell
+benchmarks cannot: how wall time scales with worker processes, the
+throughput (``ues_per_s``, simulated UE-seconds per wall-clock
+second) at each shard count, how many handovers the mobility model
+generates, and whether per-cell QoE is stable across execution modes
+(it must be — the sharded path is byte-identical to the reference,
+see ``tests/sim/test_network.py``).  The artifact records the host's
+``cpu_count``, which bounds what the shard axis can show.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 from repro.experiments.bench import measure
@@ -23,8 +23,8 @@ from repro.sim.network import Network
 from repro.workload.metro import build_metro_plan
 
 
-def _run_row(plan: Any, shards: int, duration_s: float, axis: str,
-             label: str, num_cells: int) -> dict[str, Any]:
+def _run_row(plan: Any, shards: int, duration_s: float,
+             num_cells: int) -> dict[str, Any]:
     """One study row: run the network once and tabulate it.
 
     Sharded rows carry the epoch loop's pipeline stats
@@ -33,15 +33,14 @@ def _run_row(plan: Any, shards: int, duration_s: float, axis: str,
 
     When an ambient telemetry collector is armed, each row *restarts*
     the rollup stream, so after the study the collector holds the
-    final row's records — one coherent run (the largest one), not a
-    concatenation that would double-count epochs under ``analyze
-    --metro``.
+    final row's records — one coherent run, not a concatenation that
+    would double-count epochs under ``analyze --metro``.
     """
     collector = obs_telemetry.COLLECTOR
     if collector is not None:
         collector.records.clear()
     network = Network(plan)
-    with measure(label) as record:
+    with measure(f"metro_{shards}shards") as record:
         reports = network.run(duration_s, shards=shards)
         for report in reports.values():
             LEDGER.record(report, cached=False)
@@ -55,7 +54,6 @@ def _run_row(plan: Any, shards: int, duration_s: float, axis: str,
     }
     wall = record.wall_time_s
     return {
-        "axis": axis,
         "shards": shards,
         "cells": num_cells,
         "ues": len(plan.ues),
@@ -77,46 +75,29 @@ def run_metro_scaling(
     shard_counts: tuple[int, ...] = (1, 2),
     scheme: str = "flare",
     seed: int = 0,
-    ue_counts: Sequence[int] | None = None,
-    ue_duration_s: float = 20.0,
     **plan_kwargs: Any,
 ) -> dict[str, Any]:
-    """Run the metro across shard counts (and UE counts) and tabulate.
+    """Run one metro plan at each shard count and tabulate.
 
-    The shard axis runs the same ``num_cells × ues_per_cell`` plan
-    once per shard count for ``duration_s`` (rows tagged ``axis:
-    "shards"``, with ``speedup`` relative to the 1-shard run).  When
-    ``ue_counts`` is given, a second sweep holds the cell grid and the
-    maximum shard count fixed and scales the population through
-    ``total_ues`` (rows tagged ``axis: "ues"``), each run lasting
-    ``ue_duration_s`` so the 100k point stays tractable on CI-class
-    hardware.  Every row carries ``ues_per_s`` — simulated UE-seconds
-    per wall-clock second, the study's throughput metric.
+    The same ``num_cells × ues_per_cell`` plan runs once per shard
+    count for ``duration_s``.  Every row carries ``speedup`` relative
+    to the 1-shard run and ``ues_per_s`` — simulated UE-seconds per
+    wall-clock second, the study's throughput metric.
     """
     plan = build_metro_plan(num_cells=num_cells,
                             ues_per_cell=ues_per_cell,
                             scheme=scheme, seed=seed, **plan_kwargs)
-    rows: list[dict[str, Any]] = []
-    for shards in shard_counts:
-        rows.append(_run_row(plan, shards, duration_s, "shards",
-                             f"metro_{shards}shards", num_cells))
+    rows = [_run_row(plan, shards, duration_s, num_cells)
+            for shards in shard_counts]
     baseline = next((row for row in rows if row["shards"] == 1), rows[0])
     for row in rows:
         wall = row["wall_time_s"]
         row["speedup"] = (baseline["wall_time_s"] / wall
                           if wall > 0 else 0.0)
-    for count in ue_counts or ():
-        ue_plan = build_metro_plan(
-            num_cells=num_cells, ues_per_cell=ues_per_cell,
-            scheme=scheme, seed=seed, total_ues=count, **plan_kwargs)
-        rows.append(_run_row(ue_plan, max(shard_counts), ue_duration_s,
-                             "ues", f"metro_{count}ues", num_cells))
     return {
         "cells": num_cells,
         "ues": len(plan.ues),
         "duration_s": duration_s,
-        "ue_counts": list(ue_counts or ()),
-        "ue_duration_s": ue_duration_s,
         "scheme": scheme,
         "seed": seed,
         "rows": rows,

@@ -1716,11 +1716,12 @@ class TtiKernel:
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.
 
-        Primed channels answer from their epoch table; an unprimed
-        channel (lockstep mode, or a table invalidated by a mid-epoch
-        handover) falls back to its scalar ``itbs_at`` — evaluated at
-        ``now``, the bucket's first stepped time, exactly when the
-        scalar cache would have evaluated it.
+        Primed channels answer from their epoch table.  Handovers land
+        only at epoch boundaries, before ``NetworkShard._prime_epoch``
+        primes the epoch, so the fallback serves lockstep mode, which
+        primes nothing: an unprimed channel answers from its scalar
+        ``itbs_at``, evaluated at ``now``, the bucket's first stepped
+        time, exactly when the scalar cache would have evaluated it.
         """
         channels = self._tbl_channels
         itbs = self._tbl_itbs

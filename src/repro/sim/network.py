@@ -265,9 +265,12 @@ class MetroChannel(ChannelModel):
     loss → fading → SINR → iTbs, cached at the fading resolution — but
     the eNodeB endpoint is whichever site currently serves the UE, and
     the epoch's interference penalty for that cell is subtracted from
-    the SINR before link adaptation.  Only :meth:`itbs_at` is
-    overridden, so the TTI kernel treats it as a plain channel and the
-    batched fast path stays available.
+    the SINR before link adaptation.  The TTI kernel classifies it
+    into its primed-table mode (``_TABLE``, through the
+    ``KERNEL_PRIMED_ITBS`` sentinel below): it reads each fading
+    bucket's iTbs once from the table :func:`prime_metro_channels`
+    installs for the epoch instead of calling :meth:`itbs_at` per
+    slot per step.
     """
 
     def __init__(

@@ -145,8 +145,8 @@ def build_metro_plan(
     ues_per_cell`` UEs are dropped uniformly over the whole field and
     each starts in its least-path-loss cell, so initial per-cell
     occupancy is only *approximately* ``ues_per_cell``.  ``total_ues``
-    overrides that product directly (the UE-count axis of the scaling
-    study).  UE ``g``'s ue and flow ids are both ``g``.
+    overrides that product directly, e.g. for a world with fewer UEs
+    than cells.  UE ``g``'s ue and flow ids are both ``g``.
     """
     require_positive("ues_per_cell", ues_per_cell)
     if total_ues is not None:

@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import os
 
 from repro.experiments.bench import (
     BENCH_SCHEMA_VERSION,
@@ -27,6 +28,7 @@ class TestArtifactPayload:
         assert payload["schema_version"] == BENCH_SCHEMA_VERSION
         assert isinstance(payload["git_rev"], str) and payload["git_rev"]
         assert isinstance(payload["host"], str)
+        assert payload["cpu_count"] == os.cpu_count()
         assert isinstance(payload["python"], str)
 
     def test_comparable_dict_strips_volatile_fields(self):

@@ -234,6 +234,11 @@ class TestMetroCommand:
         scaling = record["scaling"]
         assert scaling["cells"] == 4
         assert [row["shards"] for row in scaling["rows"]] == [1, 2]
+        for row in scaling["rows"]:
+            assert "axis" not in row
+            assert row["speedup"] > 0
+        # The speedup rows state the cores they ran on.
+        assert record["cpu_count"] == os.cpu_count()
         assert record["wall_time_s"] > 0
         assert record["total_cells"] == 8  # 4 cells x 2 shard counts
 

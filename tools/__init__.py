@@ -1,1 +1,2 @@
-"""Repository tooling: doc checking and the flarelint custom linter."""
+"""Repository tooling: doc checking, the flarelint custom linter, the
+same-host benchmark pair gate and the telemetry-overhead budget."""
