@@ -6,8 +6,10 @@ writes its rendered text to ``benchmarks/output/<name>.txt`` so a full
 reproduction artifacts behind.  Alongside each rendered artifact, an
 autouse fixture emits a machine-readable ``BENCH_<test>.json`` (wall
 time, cells executed vs served from cache, worker count, aggregate
-QoE metrics) into the same directory.  No CI job runs these
-benchmarks yet; tier-1 CI runs ``tests/`` only.
+QoE metrics) into the same directory.  CI's ``smoke`` job runs the
+Table I and II benches with ``REPRO_FULL=1`` (600 s, seeds 1-3: the
+duration the paper states their claims for); the other benches run
+only by hand.
 
 Scale: benchmarks default to the reduced quick scale (so the suite
 finishes in minutes); set ``REPRO_FULL=1`` for paper-fidelity runs

@@ -7,9 +7,7 @@ cell's due interval controllers through the cell's own firing rule
 the cell's first step of the epoch would have fired them.  Every BAI in
 every execution mode — lockstep, in-process and sharded — therefore
 runs through the one scalar controller,
-:meth:`repro.core.oneapi.OneApiServer.on_interval`, and a boundary the
-sweep does not see as due (the cell clock still a float rounding short
-of it) fires one step later inside the run, in every mode alike.
+:meth:`repro.core.oneapi.OneApiServer.on_interval`.
 
 Keeping the boundary in its own call, outside the TTI loop, lets a
 profiler or an outside-in trace (``perfbench/spans.py`` wraps

@@ -34,7 +34,7 @@ from repro.net.flows import VideoFlow
 from repro.obs import events as obs_events
 from repro.obs import prof
 from repro.obs import tracer as obs
-from repro.util import require_non_negative, require_positive
+from repro.util import require_non_negative, require_positive, step_time
 
 
 class PlaybackState(enum.Enum):
@@ -181,11 +181,12 @@ class HasPlayer:
 
         Stored run-length-encoded so a 100k-UE metro does not hold ~50
         tuples per simulated second per player: a draining or idle
-        stretch is one run entry, and this property replays the runs
-        with the same float operations the per-step path would have
-        performed, so the materialised samples are byte-identical to a
-        plain per-step append (``t += step`` / ``level -= step`` on the
-        stored anchors reproduces the exact clock and level floats).
+        stretch is one run entry, anchored at the cell step it follows,
+        and this property replays the runs with the same float
+        operations the per-step path would have performed, so the
+        materialised samples are byte-identical to a plain per-step
+        append (the cell clock :func:`~repro.util.step_time` at each
+        step index, and ``level -= step`` on the stored level).
         """
         out: list[tuple[float, float]] = []
         for run in self._trace_runs:
@@ -193,16 +194,14 @@ class HasPlayer:
             if tag == "e":              # explicit single sample
                 out.append((run[1], run[2]))
             elif tag == "p":            # k playing (draining) samples
-                _, t, level, k, step = run
-                for _ in range(k):
-                    t += step
+                _, anchor, level, k, step = run
+                for index in range(anchor + 1, anchor + k + 1):
                     level -= step
-                    out.append((t, level))
+                    out.append((step_time(index, step), level))
             else:                       # "c": k constant-level samples
-                _, t, level, k, step = run
-                for _ in range(k):
-                    t += step
-                    out.append((t, level))
+                _, anchor, level, k, step = run
+                for index in range(anchor + 1, anchor + k + 1):
+                    out.append((step_time(index, step), level))
         return out
 
     def current_ladder_index(self) -> int | None:

@@ -255,8 +255,11 @@ class FadingChannel(ChannelModel):
     """Full PHY chain: mobility -> path loss -> fading -> SINR -> iTbs.
 
     This is the ns-3-equivalent channel used by the simulation-study
-    scenarios.  The per-UE TBS index is re-evaluated lazily and cached
-    at the fading-process resolution to keep per-step cost low.
+    scenarios.  The per-UE TBS index is constant over each bucket of
+    the fading-process resolution: bucket ``b`` is evaluated at its
+    start, ``b * period``, and cached.  The answer is a pure function
+    of time as long as the mobility and fading models are (give them
+    separate generators), whichever steps query it and in what order.
     """
 
     def __init__(
@@ -295,7 +298,8 @@ class FadingChannel(ChannelModel):
             profiler = prof.PROFILER
             if profiler is not None:
                 profiler.begin("phy.cqi")
-            self._cache_itbs = self._la.itbs(self.sinr_db_at(time_s))
+            self._cache_itbs = self._la.itbs(
+                self.sinr_db_at(bucket * self._cache_period))
             self._cache_time = bucket
             if profiler is not None:
                 profiler.end()

@@ -15,6 +15,10 @@ OneAPI server optimizes over.  Per fluid MAC step it:
 An *interval controller* is any object with an ``interval_s`` float
 attribute and an ``on_interval(now_s, cell) -> None`` method — the
 OneAPI server, the AVIS agent and the metrics sampler all conform.
+
+Time is an integer: a cell counts its completed steps, and every
+timing input is converted once to whole TTIs
+(:func:`repro.util.whole_ttis`).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.obs import prof
 from repro.obs import tracer as obs
 from repro.phy.tbs import PRB_PER_TTI_10MHZ, TTI_MS
 from repro.sim.kernel import TtiKernel
-from repro.util import require_positive
+from repro.util import require_positive, step_time, whole_ttis
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,8 @@ class CellConfig:
         cell_id: identifier (PCRF sessions are keyed by it).
         prb_per_tti: carrier width in PRBs (50 = 10 MHz, the JL-620).
         tti_s: transmission time interval (LTE: 1 ms).
-        step_s: fluid MAC step; PRB budget per step is
-            ``prb_per_tti * step_s / tti_s``.
+        step_s: fluid MAC step, a whole number of TTIs; PRB budget per
+            step is ``prb_per_tti * step_s / tti_s``.
     """
 
     cell_id: int = 0
@@ -66,6 +70,7 @@ class CellConfig:
             raise ValueError(
                 f"step_s ({self.step_s}) must be >= tti_s ({self.tti_s})"
             )
+        whole_ttis("step_s", self.step_s, self.tti_s)
 
     @property
     def prbs_per_step(self) -> float:
@@ -76,9 +81,10 @@ class CellConfig:
 class IntervalController(Protocol):
     """Structural type of a periodic controller.
 
-    Anything exposing an ``interval_s`` period and an
-    ``on_interval(now_s, cell)`` callback qualifies — OneAPI servers,
-    metrics samplers, arrival schedules, AViS agents.
+    Anything exposing an ``interval_s`` period (a whole number of
+    TTIs, read once at registration) and an ``on_interval(now_s,
+    cell)`` callback qualifies — OneAPI servers, metrics samplers,
+    arrival schedules, AViS agents.
     """
 
     interval_s: float
@@ -103,9 +109,12 @@ class Cell:
         self._flows: list[Flow] = []
         self._players: dict[int, HasPlayer] = {}
         self._ladders: dict[int, BitrateLadder] = {}
-        self._controllers: list[tuple[IntervalController, list[float]]] = []
+        # Per controller: [due TTI, interval in TTIs].
+        self._controllers: list[tuple[IntervalController, list[int]]] = []
         self._usage_snapshots: dict[int, tuple[dict[int, tuple[float, float]], float]] = {}
-        self._now_s = 0.0
+        self._steps = 0
+        self._step_ttis = whole_ttis("step_s", self.config.step_s,
+                                     self.config.tti_s)
         self._step_hooks: list[Callable[[float], None]] = []
         self._kernel = TtiKernel(self)
 
@@ -119,8 +128,8 @@ class Cell:
 
     @property
     def now_s(self) -> float:
-        """Current simulation time."""
-        return self._now_s
+        """Current simulation time: completed steps times ``step_s``."""
+        return step_time(self._steps, self.config.step_s)
 
     @property
     def flows(self) -> tuple[Flow, ...]:
@@ -241,16 +250,25 @@ class Cell:
                        first_fire_s: float | None = None) -> None:
         """Register an interval controller.
 
+        It fires at the start of the first step reaching each due TTI.
+
         Args:
             controller: object with ``interval_s`` and
                 ``on_interval(now_s, cell)``.
             first_fire_s: first invocation time (default: one interval
                 in, so the first BAI has a full interval of history).
+
+        Raises:
+            ValueError: if the interval is not positive, or it or
+                ``first_fire_s`` is not a whole number of TTIs.
         """
-        interval = float(controller.interval_s)
-        require_positive("controller.interval_s", interval)
-        first = first_fire_s if first_fire_s is not None else interval
-        self._controllers.append((controller, [first]))
+        tti_s = self.config.tti_s
+        interval = require_positive("controller.interval_s",
+                                    float(controller.interval_s))
+        interval_ttis = whole_ttis("controller.interval_s", interval, tti_s)
+        first = (interval_ttis if first_fire_s is None
+                 else whole_ttis("first_fire_s", first_fire_s, tti_s))
+        self._controllers.append((controller, [first, interval_ttis]))
 
     def remove_controller(self, controller: IntervalController) -> None:
         """Unregister an interval controller (e.g. a failed server)."""
@@ -278,7 +296,8 @@ class Cell:
         previous, previous_time = self._usage_snapshots.get(key, ({}, 0.0))
         report: dict[int, FlowUsage] = {}
         snapshot: dict[int, tuple[float, float]] = {}
-        duration = max(self._now_s - previous_time, 0.0)
+        now = self.now_s
+        duration = max(now - previous_time, 0.0)
         for flow in self._flows:
             cum_prbs, cum_bytes = self.trace.cumulative(flow.flow_id)
             prev_prbs, prev_bytes = previous.get(flow.flow_id, (0.0, 0.0))
@@ -288,27 +307,34 @@ class Cell:
                 bytes_tx=cum_bytes - prev_bytes,
                 duration_s=duration,
             )
-        self._usage_snapshots[key] = (snapshot, self._now_s)
+        self._usage_snapshots[key] = (snapshot, now)
         return report
 
     # ------------------------------------------------------------------
     # Simulation loop
     # ------------------------------------------------------------------
     def _fire_due_controllers(self) -> None:
-        for controller, next_due in self._controllers:
+        tti = self._steps * self._step_ttis
+        now = self.now_s
+        for controller, due in self._controllers:
             # Controllers may fire multiple times if step_s > interval;
             # in practice intervals are >> step_s.
-            while next_due[0] <= self._now_s + 1e-12:
-                controller.on_interval(self._now_s, self)
-                next_due[0] += float(controller.interval_s)
+            while due[0] <= tti:
+                controller.on_interval(now, self)
+                due[0] += due[1]
+
+    def _stop_step(self, until_s: float) -> int:
+        """Step count of the first step boundary at or after ``until_s``."""
+        until = whole_ttis("until_s", until_s, self.config.tti_s)
+        return -(-until // self._step_ttis)
 
     def step(self) -> None:
         """Advance the simulation by one fluid MAC step."""
-        now = self._now_s
-        step_s = self.config.step_s
-        end = now + step_s
-        if self._kernel.run(end):
+        if self._kernel.run(self._steps + 1):
             return
+        step_s = self.config.step_s
+        now = step_time(self._steps, step_s)
+        end = step_time(self._steps + 1, step_s)
 
         profiler = prof.PROFILER
         if profiler is not None:
@@ -376,16 +402,21 @@ class Cell:
                         flows=len(self._flows), prbs=step_prbs,
                         bytes=step_bytes)
 
-        self._now_s = end
+        self._steps += 1
         for hook in self._step_hooks:
             hook(end)
         if profiler is not None:
             profiler.end()
 
     def run(self, duration_s: float) -> None:
-        """Run the simulation until ``now_s >= duration_s``."""
+        """Run until the first step whose end reaches ``duration_s``."""
         require_positive("duration_s", duration_s)
-        if self._kernel.run(duration_s):
-            return
-        while self._now_s < duration_s - 1e-9:
+        self._run_to(self._stop_step(duration_s))
+
+    def _run_to(self, stop: int) -> bool:
+        """Step until ``stop`` steps are done; True if the kernel ran."""
+        if self._kernel.run(stop):
+            return True
+        while self._steps < stop:
             self.step()
+        return False

@@ -34,6 +34,12 @@ its own ``bytes_per_prb_at``) makes the cell fall back to the object
 path for the whole run — silently, and detectably via
 :attr:`TtiKernel.active`.
 
+**Time.**  A cell's clock is its completed-step count
+(``Cell._steps``); every time the kernel hands to objects is that
+count times ``step_s`` (:func:`repro.util.step_time`, inlined).  Run
+targets are step counts and controller deadlines whole TTIs, so
+firing, stopping and lazy-player wake-ups are integer comparisons.
+
 **Observability.**  An installed tracer or invariant sanitizer makes
 the kernel decline, so the object path runs instead: it emits every
 per-step event and runs every per-step check, and it is the reference
@@ -304,8 +310,8 @@ class TtiKernel:
         self._mode_pos: list[int] = []       # slot -> index in its mode group
         self._pl_mode: list[int] = []        # per-player lazy class (_PL_*)
         self._pl_sync: list[int] = []        # per-player playback sync point
-        self._pl_clock: list[float] = []     # clock when the lazy run began
-        self._pl_wake: list[float] = []      # absolute hot-promotion time
+        self._pl_anchor: list[int] = []      # cell step the lazy run began at
+        self._pl_wake: list[float] = []      # cell step of hot promotion
         self._pl_hot_list: list[int] = []    # sorted hot player indices
         self._pl_wake_min = math.inf
         # Vector-lane state (see _vec_step).  While ``_vec_hot`` the
@@ -354,8 +360,8 @@ class TtiKernel:
     # ------------------------------------------------------------------
     # Public driving API (called by the cell)
     # ------------------------------------------------------------------
-    def run(self, duration_s: float) -> bool:
-        """Advance the cell to ``duration_s`` on the fast path.
+    def run(self, stop: int) -> bool:
+        """Advance the cell until ``stop`` steps are done, on the fast path.
 
         Due interval controllers and step hooks fire here, as
         observation boundaries around each fused step.  Returns
@@ -370,29 +376,29 @@ class TtiKernel:
         profiler = prof.PROFILER
         if profiler is not None:
             profiler.begin("sim.kernel.run")
-        done = self._advance(duration_s)
+        done = self._advance(stop)
         if profiler is not None:
             profiler.end()
         return done
 
-    def _advance(self, duration_s: float) -> bool:
+    def _advance(self, stop: int) -> bool:
         """The run loop behind :meth:`run` (mirrors loaded on entry)."""
         cell = self._cell
-        end_gate = duration_s - 1e-9
+        step_ttis = cell._step_ttis
         # A lazily parked player pays off only if it stays parked: a
         # run of a few steps, or a step hook's per-step flush, would
         # replay it at once.
-        self._lazy_ok = (not cell._step_hooks and end_gate - cell._now_s
-                         > _MIN_LAZY * self._step_s)
+        self._lazy_ok = (not cell._step_hooks
+                         and stop - cell._steps > _MIN_LAZY)
         # Bearer-registry changes can only originate at observation
         # boundaries (controller fires, completion callbacks, step
         # hooks), each of which resyncs — so the loop top checks only
         # for topology/scheduler changes.
-        while cell._now_s < end_gate:
+        while cell._steps < stop:
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
                     return False
-            if earliest_due(cell._controllers) <= cell._now_s + 1e-12:
+            if earliest_due(cell._controllers) <= cell._steps * step_ttis:
                 self.flush()
                 cell._fire_due_controllers()
                 if self._dirty or cell.scheduler is not self._sched_obj:
@@ -401,8 +407,9 @@ class TtiKernel:
             self._step_fast()
             if cell._step_hooks:
                 self.flush()
+                now = cell.now_s
                 for hook in cell._step_hooks:
-                    hook(cell._now_s)
+                    hook(now)
                 if not self._dirty:
                     self._reload_boundary()
         self.flush()
@@ -427,7 +434,7 @@ class TtiKernel:
         if self._vec_hot:
             self._vec_flush()
         if self._pl_mode:
-            now = self._cell._now_s
+            now = self._cell.now_s
             pl_hot = self._pl_hot_list
             for j, mode in enumerate(self._pl_mode):
                 if mode != _PL_HOT:
@@ -655,7 +662,7 @@ class TtiKernel:
         players = len(self._issue_info)
         self._pl_mode = [_PL_HOT] * players
         self._pl_sync = [0] * players
-        self._pl_clock = [0.0] * players
+        self._pl_anchor = [0] * players
         self._pl_wake = [math.inf] * players
         self._pl_hot_list = list(range(players))
         self._pl_wake_min = math.inf
@@ -1246,7 +1253,7 @@ class TtiKernel:
         if mode == _PL_PLAY:
             level = buffer._level_s
             player._trace_runs.append(
-                ["p", self._pl_clock[j], level, owed, step_s])
+                ["p", self._pl_anchor[j], level, owed, step_s])
             played = buffer._total_played_s
             for _ in range(owed):
                 level -= step_s
@@ -1255,7 +1262,7 @@ class TtiKernel:
             buffer._total_played_s = played
         elif mode == _PL_START or mode == _PL_STALL:
             player._trace_runs.append(
-                ["c", self._pl_clock[j], buffer._level_s, owed, step_s])
+                ["c", self._pl_anchor[j], buffer._level_s, owed, step_s])
             if mode == _PL_STALL:
                 rebuffer = player._rebuffer_s
                 for _ in range(owed):
@@ -1263,8 +1270,8 @@ class TtiKernel:
                 player._rebuffer_s = rebuffer
         # _PL_INERT: no per-step effects beyond _step_end_s.
 
-    def _pl_promote(self, now: float) -> None:
-        """Wake lazy players whose next scalar attention may be due."""
+    def _pl_promote(self, step: int, now: float) -> None:
+        """Wake lazy players due at ``step`` (which starts at ``now``)."""
         wake = self._pl_wake
         hot = self._pl_hot_list
         new_min = math.inf
@@ -1272,15 +1279,17 @@ class TtiKernel:
             if mode == _PL_HOT:
                 continue
             when = wake[j]
-            if when <= now + 1e-12:
+            if when <= step:
                 self._pl_materialize(j, now)
                 insort(hot, j)
             elif when < new_min:
                 new_min = when
         self._pl_wake_min = new_min
 
-    def _pl_try_lazy(self, j: int, end_s: float) -> bool:
+    def _pl_try_lazy(self, j: int, end_step: int, end_s: float) -> bool:
         """Park player ``j`` lazy when provably inert; True on success.
+
+        ``end_step``/``end_s``: the cell's step count and time now.
 
         The wake bounds carry two-step safety margins on top of the
         exact-arithmetic crossing estimates (per-step float drift over
@@ -1346,8 +1355,8 @@ class TtiKernel:
             return False
         self._pl_mode[j] = mode
         self._pl_sync[j] = self._fast_steps
-        self._pl_clock[j] = end_s
-        wake = math.inf if k >= far else end_s + k * step_s
+        self._pl_anchor[j] = end_step
+        wake = math.inf if k >= far else end_step + k
         self._pl_wake[j] = wake
         if wake < self._pl_wake_min:
             self._pl_wake_min = wake
@@ -1376,21 +1385,20 @@ class TtiKernel:
           That is exact for a channel whose answer does not depend on
           which earlier steps queried it.  Primed-table channels
           refresh every slot at the first step of each fading bucket,
-          where the object path's per-bucket caches fill.  A
-          ``FadingChannel`` on a mobile UE is the known exception: its
-          bucket cache keeps the position of its first query, so its
-          kernel runs can differ from the object path's.
+          where the object path's per-bucket caches fill.
         * Idle-TCP accumulation and playback drains.  These are
           deferred, then replayed with identical float operations by
           ``_idle_materialize`` and ``_pl_materialize``.
         """
         cell = self._cell
-        now = cell._now_s
+        step = cell._steps
         step_s = self._step_s
-        end = now + step_s
+        # repro.util.step_time, inlined (a call per step costs ~2%).
+        now = step * step_s
+        end = (step + 1) * step_s
         self._mirrors_hot = True
-        if self._pl_wake_min <= now + 1e-12:
-            self._pl_promote(now)
+        if self._pl_wake_min <= step:
+            self._pl_promote(step, now)
         if self._act_stale:
             self._act_rescan()
 
@@ -1707,11 +1715,11 @@ class TtiKernel:
             else:
                 player.advance_playback(end, step_s)
 
-        cell._now_s = end
+        cell._steps = step + 1
         self._fast_steps += 1
         if hot and self._lazy_ok:
             self._pl_hot_list = [j for j in hot
-                                 if not self._pl_try_lazy(j, end)]
+                                 if not self._pl_try_lazy(j, step + 1, end)]
 
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.
@@ -1780,6 +1788,9 @@ def run_cells(cells: Sequence[Cell], until_s: float) -> int:
     """Advance a batch of cells to ``until_s``, one fused kernel
     invocation per cell.
 
+    Each cell stops at the first step whose TTI count reaches
+    ``until_s``, as :meth:`~repro.sim.cell.Cell.run` does.
+
     This is the multi-cell network's intra-shard batch entry point:
     within an exchange epoch cells are fully independent (interference
     penalties are frozen, handovers happen only at epoch boundaries),
@@ -1798,11 +1809,7 @@ def run_cells(cells: Sequence[Cell], until_s: float) -> int:
     require_positive("until_s", until_s)
     fast = 0
     for cell in cells:
-        if cell.now_s >= until_s - 1e-9:
-            continue
-        if cell._kernel.run(until_s):
+        stop = cell._stop_step(until_s)
+        if cell._steps < stop and cell._run_to(stop):
             fast += 1
-            continue
-        while cell.now_s < until_s - 1e-9:
-            cell.step()
     return fast

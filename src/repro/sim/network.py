@@ -87,6 +87,8 @@ from repro.util import (
     cross_shard_message,
     require_non_negative,
     require_positive,
+    step_time,
+    whole_ttis,
 )
 from repro.workload.handover import HandoverManager, HandoverRecord
 
@@ -334,7 +336,8 @@ class MetroChannel(ChannelModel):
         """Install one epoch's precomputed per-bucket iTbs table.
 
         ``itbs_values[k]`` must be the scalar chain evaluated at the
-        first TTI-grid time falling inside fading bucket
+        time of the first cell step (enumerated by step index, see
+        :func:`prime_metro_channels`) falling inside fading bucket
         ``first_bucket + k`` — exactly the time at which the uncached
         scalar path evaluates that bucket — so a primed lookup is
         byte-identical to :meth:`itbs_at` without the table.  The
@@ -396,13 +399,14 @@ _ITBS_BY_CQI = np.asarray([itbs_from_cqi(cqi) for cqi in range(16)],
 _CQI_THRESHOLDS = np.asarray(CQI_SINR_THRESHOLDS_DB, dtype=np.float64)
 
 
-def prime_metro_channels(channels: Sequence[MetroChannel], start_s: float,
-                         epoch_end_s: float, step_s: float) -> int:
+def prime_metro_channels(channels: Sequence[MetroChannel], first_step: int,
+                         stop_step: int, step_s: float) -> int:
     """Vectorize one epoch of every channel's iTbs chain.
 
-    Replays the TTI grid from ``start_s`` by repeated float addition —
-    the cells' own clock sequence — to find, for each fading bucket
-    the epoch touches, the first grid time inside it; evaluates every
+    Enumerates the epoch's cell steps ``first_step .. stop_step - 1``
+    by index, at the cells' own clock values
+    (:func:`~repro.util.step_time`), to find, for each fading bucket
+    the epoch touches, the first step time inside it; evaluates every
     channel's chain at those times; and installs the per-bucket tables
     via :meth:`MetroChannel.prime`.  Returns the number of buckets
     primed.  All channels must share one fading period (callers group
@@ -423,14 +427,13 @@ def prime_metro_channels(channels: Sequence[MetroChannel], start_s: float,
     buckets: list[int] = []
     eval_times: list[float] = []
     last_bucket: int | None = None
-    now = start_s
-    while now < epoch_end_s - 1e-9:
+    for step in range(first_step, stop_step):
+        now = step_time(step, step_s)
         bucket = math.floor(now / period)
         if bucket != last_bucket:
             buckets.append(bucket)
             eval_times.append(now)
             last_bucket = bucket
-        now += step_s
     if not buckets:
         return 0
     loss_rows: list[float] = []
@@ -737,21 +740,21 @@ class NetworkShard:
                      epoch_end_s: float) -> None:
         """Batch-evaluate every channel's iTbs tables for one epoch.
 
-        All cells advance together, so their clocks hold the same
-        float; the grid replay starts from that value with the cells'
-        own step size.  Channels are grouped by fading period (the
-        metro uses one) so each group shares a bucket grid.
+        All cells advance together, so they share a step count and a
+        step size; the epoch's steps run from that count to the step
+        at which a run to ``epoch_end_s`` stops.  Channels are grouped
+        by fading period (the metro uses one) so each group shares a
+        bucket grid.
         """
-        start_s = cells[0].now_s
-        if epoch_end_s <= start_s + 1e-9:
-            return
-        step_s = cells[0].config.step_s
+        cell = cells[0]
+        first, stop = cell._steps, cell._stop_step(epoch_end_s)
+        step_s = cell.config.step_s
         groups: dict[float, list[MetroChannel]] = {}
         for channel in self._metro_channels():
             groups.setdefault(channel.fading_period_s,
                               []).append(channel)
         for group in groups.values():
-            prime_metro_channels(group, start_s, epoch_end_s, step_s)
+            prime_metro_channels(group, first, stop, step_s)
 
     def detach_blob(self, cell_id: int, flow_id: int) -> bytes:
         """Detach a flow from ``cell_id`` and freeze it for transport.
@@ -1160,6 +1163,11 @@ class Network:
                               for cell_ids in assignment])
 
         self.pipeline = {}
+        # Epochs are enumerated in whole TTIs of the cells' 1 ms TTI.
+        tti_s = TTI_MS / 1000.0
+        total = whole_ttis("duration_s", duration_s, tti_s)
+        exchange = whole_ttis("exchange_s", self.plan.exchange_s, tti_s)
+        start_tti = 0
         now = 0.0
         epoch_index = 0
         try:
@@ -1188,9 +1196,10 @@ class Network:
             if profiler is not None:
                 profiler.end()
             loop_started = clock()
-            while now < duration_s - 1e-9:
-                epoch_end = min(now + self.plan.exchange_s, duration_s)
-                final = epoch_end >= duration_s - 1e-9
+            while start_tti < total:
+                end_tti = min(start_tti + exchange, total)
+                epoch_end = end_tti * tti_s
+                final = end_tti == total
                 applied = directives
                 if profiler is not None:
                     profiler.begin("net.handover")
@@ -1261,13 +1270,14 @@ class Network:
                 if profiler is not None:
                     profiler.switch("net.exchange")
                 penalties = self._exchange(usages, usage_prev, util,
-                                           epoch_end - now)
+                                           (end_tti - start_tti) * tti_s)
                 if profiler is not None:
                     profiler.end()
                 if collector is not None:
                     self._emit_telemetry(collector, epoch_index,
                                          epoch_end, tele_rows, applied,
                                          util)
+                start_tti = end_tti
                 now = epoch_end
                 epoch_index += 1
 

@@ -129,6 +129,33 @@ def require_in_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
+def whole_ttis(name: str, value_s: float, tti_s: float) -> int:
+    """``value_s`` as a whole number of ``tti_s``-long TTIs.
+
+    Every timing input of the simulator passes through here once, so
+    clock arithmetic after it is on integers.  The check absorbs only
+    the rounding of the division: the one tolerance on a time.
+
+    Raises:
+        ValueError: if ``value_s`` is not a whole number of TTIs.
+    """
+    ratio = value_s / tti_s
+    ttis = round(ratio)
+    if abs(ratio - ttis) > 1e-6:
+        raise ValueError(f"{name} ({value_s!r} s) is not a whole number "
+                         f"of {tti_s!r} s TTIs")
+    return ttis
+
+
+def step_time(step: int, step_s: float) -> float:
+    """Simulated time after ``step`` fluid steps: the cell clock.
+
+    Every path that derives a time from a step count uses this one
+    expression, so they agree to the last bit.
+    """
+    return step * step_s
+
+
 class Ewma:
     """Exponentially weighted moving average.
 

@@ -293,9 +293,12 @@ def _fading_channel(rng: np.random.Generator, field: Field,
     # residual is kept.  Shadowing persists: nearly frozen for a static
     # UE, decorrelating over ~50 m (a few seconds) for a vehicle.
     if mobile:
+        # Both models draw lazily as time extends: separate streams
+        # keep each one's draws independent of who queries when.
+        mobility_rng, fading_rng = rng.spawn(2)
         mobility = RandomWaypointMobility(
-            field, rng, speed_min_mps=8.0, speed_max_mps=25.0)
-        fading = FadingProcess(rng, sample_period_s=0.5,
+            field, mobility_rng, speed_min_mps=8.0, speed_max_mps=25.0)
+        fading = FadingProcess(fading_rng, sample_period_s=0.5,
                                shadowing_std_db=6.0,
                                shadowing_corr=0.9,
                                fast_fading_std_db=2.0,

@@ -38,6 +38,10 @@ class TestCellConfig:
         with pytest.raises(ValueError):
             CellConfig(step_s=0.0001, tti_s=0.001)
 
+    def test_sub_tti_step_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            CellConfig(step_s=0.0125)
+
 
 class TestTopology:
     def test_add_flows(self):
@@ -65,9 +69,15 @@ class TestControllers:
         controller = RecordingController(interval_s=1.0)
         cell.add_controller(controller)
         cell.run(5.0)
-        assert len(controller.calls) == 4  # t = 1, 2, 3, 4
-        assert controller.calls == pytest.approx([1.0, 2.0, 3.0, 4.0],
-                                                 abs=0.03)
+        assert controller.calls == [1.0, 2.0, 3.0, 4.0]
+
+    def test_sub_tti_interval_rejected(self):
+        cell = Cell(CellConfig(step_s=0.02))
+        with pytest.raises(ValueError, match="whole number"):
+            cell.add_controller(RecordingController(interval_s=0.0005))
+        with pytest.raises(ValueError, match="whole number"):
+            cell.add_controller(RecordingController(interval_s=1.0),
+                                first_fire_s=0.0305)
 
     def test_first_fire_override(self):
         cell = Cell(CellConfig(step_s=0.02))
@@ -107,6 +117,16 @@ class TestSimulationLoop:
         cell = Cell(CellConfig(step_s=0.5))
         cell.run(3.0)
         assert cell.now_s == pytest.approx(3.0)
+
+    def test_run_stops_at_first_step_reaching_target(self):
+        cell = Cell(CellConfig(step_s=0.02))
+        cell.run(0.03)
+        assert cell.now_s == 0.04
+
+    def test_sub_tti_run_target_rejected(self):
+        cell = Cell(CellConfig(step_s=0.02))
+        with pytest.raises(ValueError, match="whole number"):
+            cell.run(0.0305)
 
     def test_trace_records_usage(self):
         cell = Cell(CellConfig(step_s=0.02))

@@ -32,13 +32,23 @@ from repro.obs.tracer import tracing
 from repro.phy.channel import OutageChannel, StaticItbsChannel
 from repro.sim import Cell, CellConfig
 from repro.workload.multicell import build_multicell_scenario
-from repro.workload.scenarios import build_testbed_scenario
+from repro.workload.scenarios import (
+    build_cell_scenario,
+    build_testbed_scenario,
+)
 
 
 def _testbed_run(scheme: str, seed: int, **kwargs):
     """One 30 s testbed run: the scenario and its report dump."""
     scenario = build_testbed_scenario(scheme, seed=seed,
                                       duration_s=30.0, **kwargs)
+    return scenario, dump_cell_report(scenario.run())
+
+
+def _mobile_run(scheme: str, seed: int):
+    """One 60 s mobile-UE cell (Figure 7's setup) and its report dump."""
+    scenario = build_cell_scenario(scheme, mobile=True, seed=seed,
+                                   duration_s=60.0)
     return scenario, dump_cell_report(scenario.run())
 
 
@@ -50,10 +60,10 @@ def buffer_traces(players):
 class TestDifferentialMatrix:
     """FLARE/FESTIVE/AVIS x seeds: fast step vs sanitized object path."""
 
-    def _compare(self, scheme, seed, **kwargs):
+    def _compare(self, scheme, seed, runner=_testbed_run, **kwargs):
         with chk.checked_run():
-            ref, slow = _testbed_run(scheme, seed, **kwargs)
-        run, fast = _testbed_run(scheme, seed, **kwargs)
+            ref, slow = runner(scheme, seed, **kwargs)
+        run, fast = runner(scheme, seed, **kwargs)
         assert run.cell._kernel._fast_steps > 0
         assert fast == slow
         assert buffer_traces(run.players) == buffer_traces(ref.players)
@@ -65,6 +75,13 @@ class TestDifferentialMatrix:
 
     def test_dynamic_channel_byte_identical(self):
         self._compare("flare", 1, dynamic=True)
+
+    @pytest.mark.parametrize("scheme", ["flare", "festive", "avis"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mobile_channel_byte_identical(self, scheme, seed):
+        # The fused step queries a channel only while its flow is
+        # backlogged; a mobile UE's channel must answer the same anyway.
+        self._compare(scheme, seed, runner=_mobile_run)
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +147,7 @@ class TestIdleStretches:
 
     def test_bai_edge(self):
         # FLARE's 2 s BAI controller fires at 2/4/... during the idle
-        # stretch, at the same clock values as the object loop's
-        # accumulated float time.
+        # stretch, at the same step as the object loop.
         assert self._compare(5.0, 1.0, 12.0, flare=True) > 0
 
     def test_deadline_every_step(self):

@@ -385,10 +385,13 @@ class TestVectorLane:
 
         def perturbing_step(kernel, now, end, step_s):
             engaged.append(True)
-            # Skew the in-lane congestion windows by 0.1% per step: a
+            # Skew the in-lane PF served averages by 0.1% per step: a
             # small relative error in one vector-lane operand, of the
-            # kind a wrong dtype or a reordered reduction produces.
-            kernel._v_cwnd *= 1.0 + 1e-3
+            # kind a wrong dtype or a reordered reduction produces.  The
+            # operand must reach the reports: this plan's lane steps are
+            # all bound by the MBR cap or the backlog, never by the
+            # congestion window, so a skewed window would not show.
+            kernel._v_pf *= 1.0 + 1e-3
             return orig_step(kernel, now, end, step_s)
 
         monkeypatch.setattr(TtiKernel, "_vec_step", perturbing_step)
@@ -423,36 +426,37 @@ class TestChannelPriming:
         shard = NetworkShard(plan, list(range(plan.sites.num_cells)))
         channels = shard._metro_channels()
         assert channels
-        step_s = shard.built(shard.cell_ids[0]).cell.config.step_s
-        epoch_end = plan.exchange_s
-        primed = prime_metro_channels(channels, 0.0, epoch_end, step_s)
+        cell = shard.built(shard.cell_ids[0]).cell
+        step_s = cell.config.step_s
+        stop = cell._stop_step(plan.exchange_s)
+        primed = prime_metro_channels(channels, 0, stop, step_s)
         assert primed > 0
         for channel in channels:
             table = list(channel._primed_itbs)
             first = channel._primed_first_bucket
             assert len(table) == primed
             # Drop the table (fading samples stay materialised) and
-            # replay the TTI grid the way the cells' clocks do —
-            # repeated float addition — evaluating the scalar chain at
-            # the first grid time inside each fading bucket, exactly
+            # replay the epoch's steps the way the cells' clocks do —
+            # step index times step size — evaluating the scalar chain
+            # at the first step time inside each fading bucket, exactly
             # where the primed table claims to have been evaluated.
             channel._primed_itbs = None
             period = channel.fading_period_s
             scalar = {}
-            now = 0.0
-            while now < epoch_end - 1e-9:
+            for step in range(stop):
+                now = step * step_s
                 bucket = math.floor(now / period)
                 if bucket not in scalar:
                     scalar[bucket] = channel.itbs_at(now)
-                now += step_s
             assert table == [scalar[first + k] for k in range(primed)]
 
     def test_handover_drops_primed_table(self):
         plan = small_plan()
         shard = NetworkShard(plan, list(range(plan.sites.num_cells)))
         channels = shard._metro_channels()
-        step_s = shard.built(shard.cell_ids[0]).cell.config.step_s
-        prime_metro_channels(channels, 0.0, plan.exchange_s, step_s)
+        cell = shard.built(shard.cell_ids[0]).cell
+        prime_metro_channels(channels, 0, cell._stop_step(plan.exchange_s),
+                             cell.config.step_s)
         channel = channels[0]
         assert channel.primed_itbs(channel._primed_first_bucket) is not None
         target = next(c for c in range(plan.sites.num_cells)
