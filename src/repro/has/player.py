@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
 
 from repro.abr.base import AbrAlgorithm, AbrContext
 from repro.has.buffer import PlayoutBuffer
@@ -34,7 +33,7 @@ from repro.net.flows import VideoFlow
 from repro.obs import events as obs_events
 from repro.obs import prof
 from repro.obs import tracer as obs
-from repro.util import require_non_negative, require_positive, step_time
+from repro.util import require_non_negative, require_positive
 
 
 class PlaybackState(enum.Enum):
@@ -126,9 +125,6 @@ class HasPlayer:
         self._rebuffer_s = 0.0
         self._abandonments = 0
         self._abr_override_index: int | None = None
-        # Run-length-encoded (time, buffer_level) samples, one logical
-        # sample per playback step; see ``buffer_trace``.
-        self._trace_runs: list[list[Any]] = []
 
     # ------------------------------------------------------------------
     # Derived thresholds
@@ -174,35 +170,6 @@ class HasPlayer:
     def finished(self) -> bool:
         """True once a bounded video has fully played out."""
         return self.state is PlaybackState.FINISHED
-
-    @property
-    def buffer_trace(self) -> list[tuple[float, float]]:
-        """Per-step (time, buffer_level) samples, one per playback step.
-
-        Stored run-length-encoded so a 100k-UE metro does not hold ~50
-        tuples per simulated second per player: a draining or idle
-        stretch is one run entry, anchored at the cell step it follows,
-        and this property replays the runs with the same float
-        operations the per-step path would have performed, so the
-        materialised samples are byte-identical to a plain per-step
-        append (the cell clock :func:`~repro.util.step_time` at each
-        step index, and ``level -= step`` on the stored level).
-        """
-        out: list[tuple[float, float]] = []
-        for run in self._trace_runs:
-            tag = run[0]
-            if tag == "e":              # explicit single sample
-                out.append((run[1], run[2]))
-            elif tag == "p":            # k playing (draining) samples
-                _, anchor, level, k, step = run
-                for index in range(anchor + 1, anchor + k + 1):
-                    level -= step
-                    out.append((step_time(index, step), level))
-            else:                       # "c": k constant-level samples
-                _, anchor, level, k, step = run
-                for index in range(anchor + 1, anchor + k + 1):
-                    out.append((step_time(index, step), level))
-        return out
 
     def current_ladder_index(self) -> int | None:
         """Ladder index of the most recently *requested* segment."""
@@ -445,7 +412,6 @@ class HasPlayer:
                     self.state = PlaybackState.STALLED
                     self._stall_events += 1
                     self._rebuffer_s += result.starved_s
-        self._trace_runs.append(["e", now_s, self.buffer.level_s])
 
     def _video_exhausted(self) -> bool:
         """True when every segment of a bounded video was downloaded."""

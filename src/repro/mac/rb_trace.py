@@ -7,15 +7,15 @@ those records to the OneAPI server each bitrate assignment interval
 the previous BAI) and ``b_u^{i-1}`` (bytes transmitted in the previous
 BAI), which together estimate each flow's per-RB efficiency.
 
-:class:`RbTraceModule` is that tracer.  The scheduler records every
-allocation into it; a controller calls :meth:`roll` at each BAI
-boundary to obtain the closed interval's per-flow report.
+:class:`RbTraceModule` is that tracer: the cell records every grant
+into per-flow cumulative counters.  The hand-off is
+:meth:`~repro.sim.cell.Cell.consume_usage_report`, which turns the
+counters into each consumer's per-interval :class:`FlowUsage` report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
 
 from repro.util import bytes_to_bits, require_non_negative
 
@@ -51,18 +51,13 @@ class FlowUsage:
 
 
 class RbTraceModule:
-    """Accumulates per-flow RB and byte counts between BAI boundaries."""
+    """Per-flow cumulative RB and byte counters since simulation start."""
 
     def __init__(self) -> None:
-        self._prbs: dict[int, float] = {}
-        self._bytes: dict[int, float] = {}
-        self._interval_start_s = 0.0
-        self._now_s = 0.0
         self._cumulative_bytes: dict[int, float] = {}
         self._cumulative_prbs: dict[int, float] = {}
 
-    def record(self, flow_id: int, prbs: float, num_bytes: float,
-               now_s: float) -> None:
+    def record(self, flow_id: int, prbs: float, num_bytes: float) -> None:
         """Record one scheduling grant.
 
         Args:
@@ -70,40 +65,15 @@ class RbTraceModule:
             prbs: resource blocks assigned this step (may be
                 fractional).
             num_bytes: bytes delivered this step.
-            now_s: simulation time at the end of the step.
         """
         require_non_negative("prbs", prbs)
         require_non_negative("num_bytes", num_bytes)
-        self._prbs[flow_id] = self._prbs.get(flow_id, 0.0) + prbs
-        self._bytes[flow_id] = self._bytes.get(flow_id, 0.0) + num_bytes
         self._cumulative_prbs[flow_id] = (
             self._cumulative_prbs.get(flow_id, 0.0) + prbs
         )
         self._cumulative_bytes[flow_id] = (
             self._cumulative_bytes.get(flow_id, 0.0) + num_bytes
         )
-        self._now_s = max(self._now_s, now_s)
-
-    def roll(self, now_s: float) -> dict[int, FlowUsage]:
-        """Close the open interval and return its per-flow report.
-
-        This is the Statistics Reporter hand-off: the returned mapping
-        is what the Communication Module would ship to the OneAPI
-        server.
-        """
-        duration = max(now_s - self._interval_start_s, 0.0)
-        report = {
-            flow_id: FlowUsage(
-                prbs=self._prbs.get(flow_id, 0.0),
-                bytes_tx=self._bytes.get(flow_id, 0.0),
-                duration_s=duration,
-            )
-            for flow_id in set(self._prbs) | set(self._bytes)
-        }
-        self._prbs.clear()
-        self._bytes.clear()
-        self._interval_start_s = now_s
-        return report
 
     def cumulative(self, flow_id: int) -> tuple[float, float]:
         """Total (prbs, bytes) for ``flow_id`` since simulation start."""
@@ -118,12 +88,11 @@ class RbTraceModule:
         Includes flows that have since departed (handover), so the
         total reflects what *this cell's* air interface transmitted —
         the quantity inter-cell interference coupling is driven by.
+        Summed in flow-id order, so the bits do not depend on the order
+        in which flows got their first grant.
         """
+        cumulative = self._cumulative_prbs
         total = 0.0
-        for prbs in self._cumulative_prbs.values():
-            total += prbs
+        for flow_id in sorted(cumulative):
+            total += cumulative[flow_id]
         return total
-
-    def tracked_flows(self) -> Iterable[int]:
-        """Flow ids with any recorded activity since the last roll."""
-        return sorted(set(self._prbs) | set(self._bytes))

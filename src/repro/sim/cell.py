@@ -375,7 +375,7 @@ class Cell:
             prbs = allocation.prbs if allocation else 0.0
             flow.on_scheduled(delivered, step_s)
             if prbs > 0 or delivered > 0:
-                self.trace.record(flow.flow_id, prbs, delivered, end)
+                self.trace.record(flow.flow_id, prbs, delivered)
                 if tracer is not None:
                     step_prbs += prbs
                     step_bytes += delivered

@@ -105,9 +105,8 @@ _TABLE = 3
 # in the same order) when the player is next observed.
 _PL_HOT = 0    # per-step scalar processing
 _PL_PLAY = 1   # PLAYING: drains exactly step_s per step
-_PL_START = 2  # STARTUP below threshold: constant buffer level
-_PL_STALL = 3  # STALLED below resume: constant level, accruing rebuffer
-_PL_INERT = 4  # FINISHED or strictly before start: no per-step effects
+_PL_STALL = 2  # STALLED below resume: constant level, accruing rebuffer
+_PL_INERT = 3  # STARTUP below threshold, FINISHED, or before start
 
 #: Minimum provably-inert steps before a player is parked lazy; below
 #: this the bookkeeping costs more than the skipped scalar steps.
@@ -189,16 +188,13 @@ KERNEL_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
                                       "kernel",
     # -- Scheduler/MAC transients: recomputed from scratch every step;
     #    the kernel computes its own allocation arrays and flushes the
-    #    per-interval/cumulative accumulators, not the scratch.
+    #    cumulative accumulators, not the scratch.
     "Allocation.prbs": "per-step transient; kernel computes allocations "
                        "directly into SoA arrays",
     "Allocation.bytes_delivered": "per-step transient; kernel computes "
                                   "allocations directly into SoA arrays",
     "Scheduler._claim_pool": "recycled per-step scratch objects; never "
                              "observable across a step",
-    "RbTraceModule._interval_start_s": "roll() is boundary code; the "
-                                       "kernel flushes _prbs/_bytes "
-                                       "before any roll can run",
     # -- GBR registry: the kernel resyncs wholesale when
     #    registry.version moves (_resync_registry), instead of
     #    mirroring the dicts field by field.
@@ -257,13 +253,9 @@ class TtiKernel:
         self._totals: list[float] = []
         self._pf_avg: list[float] = []
         self._pf_seen: list[bool] = []
-        self._int_prbs: list[float] = []
-        self._int_bytes: list[float] = []
         self._cum_prbs: list[float] = []
         self._cum_bytes: list[float] = []
-        self._int_seen: list[bool] = []
         self._cum_seen: list[bool] = []
-        self._tr_now = 0.0
         # Registry-derived views (rebuilt when registry.version moves).
         self._mbr_cap: list[float] = []
         self._gbr_slots: list[tuple[int, float]] = []
@@ -310,7 +302,6 @@ class TtiKernel:
         self._mode_pos: list[int] = []       # slot -> index in its mode group
         self._pl_mode: list[int] = []        # per-player lazy class (_PL_*)
         self._pl_sync: list[int] = []        # per-player playback sync point
-        self._pl_anchor: list[int] = []      # cell step the lazy run began at
         self._pl_wake: list[float] = []      # cell step of hot promotion
         self._pl_hot_list: list[int] = []    # sorted hot player indices
         self._pl_wake_min = math.inf
@@ -329,11 +320,8 @@ class TtiKernel:
         self._v_demand: Any = None
         self._v_bpp: Any = None
         self._v_backlog: Any = None    # 0.0 for every unmasked slot
-        self._v_ip: Any = None         # trace: interval PRBs
-        self._v_ib: Any = None         # trace: interval bytes
         self._v_cp: Any = None         # trace: cumulative PRBs
         self._v_cb: Any = None         # trace: cumulative bytes
-        self._v_iseen: Any = None
         self._v_cseen: Any = None
         self._v_sor: Any = None        # step_s / rtt_s
         self._v_ros: Any = None        # rtt_s / step_s
@@ -476,18 +464,13 @@ class TtiKernel:
                 if pf_seen[i]:
                     averages[flow_ids[i]] = pf_avg[i]
         trace = cell.trace
-        int_seen = self._int_seen
         cum_seen = self._cum_seen
         flow_ids = self._flow_ids
         for i in range(self._n):
-            fid = flow_ids[i]
-            if int_seen[i]:
-                trace._prbs[fid] = self._int_prbs[i]
-                trace._bytes[fid] = self._int_bytes[i]
             if cum_seen[i]:
+                fid = flow_ids[i]
                 trace._cumulative_prbs[fid] = self._cum_prbs[i]
                 trace._cumulative_bytes[fid] = self._cum_bytes[i]
-        trace._now_s = self._tr_now
 
     # ------------------------------------------------------------------
     # Synchronisation
@@ -634,11 +617,8 @@ class TtiKernel:
         self._totals = [0.0] * n
         self._pf_avg = [0.0] * n
         self._pf_seen = [False] * n
-        self._int_prbs = [0.0] * n
-        self._int_bytes = [0.0] * n
         self._cum_prbs = [0.0] * n
         self._cum_bytes = [0.0] * n
-        self._int_seen = [False] * n
         self._cum_seen = [False] * n
         self._dirty = False
         self._ready = True
@@ -662,7 +642,6 @@ class TtiKernel:
         players = len(self._issue_info)
         self._pl_mode = [_PL_HOT] * players
         self._pl_sync = [0] * players
-        self._pl_anchor = [0] * players
         self._pl_wake = [math.inf] * players
         self._pl_hot_list = list(range(players))
         self._pl_wake_min = math.inf
@@ -680,8 +659,7 @@ class TtiKernel:
             self._pf_seen, self._alloc_prbs, self._alloc_bytes,
             self._zeros, self._totals, self._idle, self._init_cwnd,
             self._max_cwnd, self._growth, self._rtt_over_step,
-            self._int_prbs, self._int_bytes, self._cum_prbs,
-            self._cum_bytes, self._int_seen, self._cum_seen,
+            self._cum_prbs, self._cum_bytes, self._cum_seen,
         )
         # Vector-lane eligibility is structural: every channel must be
         # bucket-constant (_CONST/_TABLE, i.e. bytes/PRB is a pure
@@ -767,21 +745,15 @@ class TtiKernel:
         sched = self._sched_obj
         averages = sched.pf._avg_rate_bps
         trace = cell.trace
-        int_prbs = trace._prbs
-        int_bytes = trace._bytes
         cum_prbs = trace._cumulative_prbs
         cum_bytes = trace._cumulative_bytes
         for i in range(self._n):
             fid = flow_ids[i]
             self._pf_seen[i] = fid in averages
             self._pf_avg[i] = averages.get(fid, 0.0)
-            self._int_seen[i] = fid in int_prbs
-            self._int_prbs[i] = int_prbs.get(fid, 0.0)
-            self._int_bytes[i] = int_bytes.get(fid, 0.0)
             self._cum_seen[i] = fid in cum_prbs
             self._cum_prbs[i] = cum_prbs.get(fid, 0.0)
             self._cum_bytes[i] = cum_bytes.get(fid, 0.0)
-        self._tr_now = trace._now_s
         self._mirrors_hot = False
         # Boundary code may have issued or cancelled downloads.
         self._act_stale = True
@@ -866,11 +838,8 @@ class TtiKernel:
         self._v_pfseen = npx.array(self._pf_seen)
         self._v_wanted = npx.array(self._wanted)
         self._v_demand = npx.array(self._demand)
-        self._v_ip = npx.array(self._int_prbs)
-        self._v_ib = npx.array(self._int_bytes)
         self._v_cp = npx.array(self._cum_prbs)
         self._v_cb = npx.array(self._cum_bytes)
-        self._v_iseen = npx.array(self._int_seen)
         self._v_cseen = npx.array(self._cum_seen)
         self._v_sor = npx.array(self._step_over_rtt)
         self._v_ros = npx.array(self._rtt_over_step)
@@ -944,12 +913,9 @@ class TtiKernel:
             (self._pf_avg, self._v_pf),
             (self._wanted, self._v_wanted),
             (self._demand, self._v_demand),
-            (self._int_prbs, self._v_ip),
-            (self._int_bytes, self._v_ib),
             (self._cum_prbs, self._v_cp),
             (self._cum_bytes, self._v_cb),
             (self._pf_seen, self._v_pfseen),
-            (self._int_seen, self._v_iseen),
             (self._cum_seen, self._v_cseen),
         )
         for lst, arr in pairs:
@@ -982,11 +948,8 @@ class TtiKernel:
         self._v_totals[slot] = self._totals[slot]
         self._v_pf[slot] = self._pf_avg[slot]
         self._v_pfseen[slot] = self._pf_seen[slot]
-        self._v_ip[slot] = self._int_prbs[slot]
-        self._v_ib[slot] = self._int_bytes[slot]
         self._v_cp[slot] = self._cum_prbs[slot]
         self._v_cb[slot] = self._cum_bytes[slot]
-        self._v_iseen[slot] = self._int_seen[slot]
         self._v_cseen[slot] = self._cum_seen[slot]
         video = self._videos[slot]
         self._v_backlog[slot] = (math.inf if video is None
@@ -1010,11 +973,8 @@ class TtiKernel:
         self._pf_seen[i] = bool(self._v_pfseen[i])
         self._wanted[i] = vw = float(self._v_wanted[i])
         self._demand[i] = float(self._v_demand[i])
-        self._int_prbs[i] = float(self._v_ip[i])
-        self._int_bytes[i] = float(self._v_ib[i])
         self._cum_prbs[i] = float(self._v_cp[i])
         self._cum_bytes[i] = float(self._v_cb[i])
-        self._int_seen[i] = bool(self._v_iseen[i])
         self._cum_seen[i] = bool(self._v_cseen[i])
         self._idle_sync[i] = self._fast_steps + 1
         flow = self._flows[i]
@@ -1196,14 +1156,9 @@ class TtiKernel:
         self._s_spare = self._v_wanted
         self._v_wanted = backlog
         self._v_backlog = nb
-        self._v_ip += a_p
-        self._v_ib += a_b
         self._v_cp += a_p
         self._v_cb += a_b
-        self._v_iseen |= granted
         self._v_cseen |= granted
-        if bool(granted.any()) and end > self._tr_now:
-            self._tr_now = end
 
         # --- Completion boundaries (rare; ascending slot order). -----
         if bool(comp.any()):
@@ -1232,11 +1187,10 @@ class TtiKernel:
         """Replay a lazy player's owed steps; the player becomes HOT.
 
         The replay performs the exact per-step float operations the
-        reference playback path would have run (``level -= step``,
-        ``played += step``, ``rebuffer += step``) and appends one
-        run-length-encoded trace entry covering the stretch (see
-        :attr:`HasPlayer.buffer_trace`), so the object graph ends up
-        byte-identical to per-step evaluation.
+        reference playback path would have run (``level -= step`` and
+        ``played += step`` while playing, ``rebuffer += step`` while
+        stalled), so the object graph ends up byte-identical to
+        per-step evaluation.
         """
         mode = self._pl_mode[j]
         self._pl_mode[j] = _PL_HOT
@@ -1252,22 +1206,17 @@ class TtiKernel:
         buffer = info[1]
         if mode == _PL_PLAY:
             level = buffer._level_s
-            player._trace_runs.append(
-                ["p", self._pl_anchor[j], level, owed, step_s])
             played = buffer._total_played_s
             for _ in range(owed):
                 level -= step_s
                 played += step_s
             buffer._level_s = level
             buffer._total_played_s = played
-        elif mode == _PL_START or mode == _PL_STALL:
-            player._trace_runs.append(
-                ["c", self._pl_anchor[j], buffer._level_s, owed, step_s])
-            if mode == _PL_STALL:
-                rebuffer = player._rebuffer_s
-                for _ in range(owed):
-                    rebuffer += step_s
-                player._rebuffer_s = rebuffer
+        elif mode == _PL_STALL:
+            rebuffer = player._rebuffer_s
+            for _ in range(owed):
+                rebuffer += step_s
+            player._rebuffer_s = rebuffer
         # _PL_INERT: no per-step effects beyond _step_end_s.
 
     def _pl_promote(self, step: int, now: float) -> None:
@@ -1349,13 +1298,12 @@ class TtiKernel:
                 return False              # would issue next step
             else:
                 k = far
-            mode = (_PL_START if state is PlaybackState.STARTUP
+            mode = (_PL_INERT if state is PlaybackState.STARTUP
                     else _PL_STALL)
         if k < _MIN_LAZY:
             return False
         self._pl_mode[j] = mode
         self._pl_sync[j] = self._fast_steps
-        self._pl_anchor[j] = end_step
         wake = math.inf if k >= far else end_step + k
         self._pl_wake[j] = wake
         if wake < self._pl_wake_min:
@@ -1465,8 +1413,8 @@ class TtiKernel:
             (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
              cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
              alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
-             growth, rtt_over_step, int_prbs, int_bytes, cum_prbs,
-             cum_bytes, int_seen, cum_seen) = self._hot
+             growth, rtt_over_step, cum_prbs, cum_bytes,
+             cum_seen) = self._hot
             tbl_itbs = self._tbl_itbs
             mode_pos = self._mode_pos
             gbr_slots = self._gbr_slots
@@ -1690,14 +1638,9 @@ class TtiKernel:
                             video._remaining_bytes = remaining
                 if prbs > 0 or delivered > 0:
                     # Inlined RbTraceModule.record.
-                    int_prbs[i] += prbs
-                    int_bytes[i] += delivered
                     cum_prbs[i] += prbs
                     cum_bytes[i] += delivered
-                    int_seen[i] = True
                     cum_seen[i] = True
-                    if end > self._tr_now:
-                        self._tr_now = end
 
         # --- Playback: hot players only (lazy drains are replayed). --
         hot = self._pl_hot_list
@@ -1708,10 +1651,8 @@ class TtiKernel:
             level = buffer._level_s
             if player.state is playing and level >= step_s:
                 player._step_end_s = end
-                level -= step_s
-                buffer._level_s = level
+                buffer._level_s = level - step_s
                 buffer._total_played_s += step_s
-                player._trace_runs.append(["e", end, level])
             else:
                 player.advance_playback(end, step_s)
 

@@ -160,10 +160,3 @@ class TestRequestLatency:
         assert player.flow.backlog_bytes() == 0.0  # still pending
         run(player, 2.0, rate_bps=10e6, start_s=0.5)
         assert len(player.log) >= 1
-
-    def test_buffer_trace_collected(self):
-        player = make_player()
-        run(player, 10.0, rate_bps=2e6)
-        assert len(player.buffer_trace) > 0
-        times = [t for t, _ in player.buffer_trace]
-        assert times == sorted(times)

@@ -22,7 +22,7 @@ rate_schedules = st.lists(
 )
 
 
-def drive(player, schedule, step_s=0.25, phase_s=2.0):
+def drive(player, schedule, step_s=0.25, phase_s=2.0, after_step=None):
     t = 0.0
     for rate_bps in schedule:
         steps = int(phase_s / step_s)
@@ -34,6 +34,8 @@ def drive(player, schedule, step_s=0.25, phase_s=2.0):
             player.flow.on_scheduled(min(wanted, offered), step_s)
             t += step_s
             player.advance_playback(t, step_s)
+            if after_step is not None:
+                after_step(player)
     return t
 
 
@@ -63,8 +65,11 @@ class TestPlayerInvariants:
     @settings(max_examples=40, deadline=None)
     def test_buffer_never_negative_nor_above_cap(self, schedule):
         player = make_player()
-        drive(player, schedule)
-        for _, level in player.buffer_trace:
+        levels = []
+        drive(player, schedule,
+              after_step=lambda p: levels.append(p.buffer.level_s))
+        assert len(levels) == 8 * len(schedule)  # 8 steps per phase
+        for level in levels:
             assert level >= -1e-9
             assert level <= player.config.buffer_capacity_s + 1e-9
 

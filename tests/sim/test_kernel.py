@@ -6,7 +6,7 @@ here runs coordinated (FLARE, AVIS) and client-side (FESTIVE) schemes
 across seeds against the object path with the invariant sanitizer
 armed; any drift in a mirrored quantity (TCP windows, PF averages, RB
 trace, delivered totals, playback) shows up as a serialization or
-buffer-trace diff.  An armed sanitizer or tracer makes the kernel
+ledger diff.  An armed sanitizer or tracer makes the kernel
 decline, so the kernel side runs unarmed and proves it took fast steps.
 
 Idle stretches get targeted scenarios: every step of a client that
@@ -52,9 +52,20 @@ def _mobile_run(scheme: str, seed: int):
     return scenario, dump_cell_report(scenario.run())
 
 
-def buffer_traces(players):
-    """Every player's decoded per-step buffer trace."""
-    return [player.buffer_trace for player in players]
+def ledgers(sampler, players):
+    """The sampler's series and every player's records and totals.
+
+    Playback state the reports summarise away (a drain the kernel
+    replays one step short, say) still shows in the sampled buffer
+    levels and the final buffer, played and rebuffer times.
+    """
+    series = [{flow_id: table[flow_id].items() for flow_id in sorted(table)}
+              for table in (sampler.buffer_s, sampler.bitrate_bps,
+                            sampler.throughput_bps)]
+    per_player = [(player.log.records, player.buffer.level_s,
+                   player.buffer.total_played_s, player.rebuffer_time_s)
+                  for player in players]
+    return series, per_player
 
 
 class TestDifferentialMatrix:
@@ -66,7 +77,8 @@ class TestDifferentialMatrix:
         run, fast = runner(scheme, seed, **kwargs)
         assert run.cell._kernel._fast_steps > 0
         assert fast == slow
-        assert buffer_traces(run.players) == buffer_traces(ref.players)
+        assert (ledgers(run.sampler, run.players)
+                == ledgers(ref.sampler, ref.players))
 
     @pytest.mark.parametrize("scheme", ["flare", "festive", "avis"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -275,5 +287,7 @@ class TestDeclineRules:
         for cell_id, cell in fast_run.cells.items():
             assert cell._step_hooks
             assert cell._kernel._fast_steps == 3000
-            assert (buffer_traces(fast_run.players[cell_id])
-                    == buffer_traces(slow_run.players[cell_id]))
+            assert (ledgers(fast_run.samplers[cell_id],
+                            fast_run.players[cell_id])
+                    == ledgers(slow_run.samplers[cell_id],
+                               slow_run.players[cell_id]))

@@ -82,6 +82,32 @@ class TestDifferentialMatrix:
         assert (ref_net.handover_count == bat_net.handover_count
                 == shard_net.handover_count)
 
+    def test_usage_totals_independent_of_path(self, monkeypatch):
+        # Each epoch's per-cell PRB totals, and the interference
+        # penalties they become, are the same bits whether the cells
+        # ran on the kernel or on the sanitized object path (which
+        # record a flow's first grant at different times).
+        plan = build_metro_plan(num_cells=4, ues_per_cell=8, seed=0,
+                                coupling_db=6.0)
+        calls = []
+        original = Network._exchange
+
+        def recording(self, usages, *args):
+            penalties = original(self, usages, *args)
+            calls.append((dict(usages), penalties))
+            return penalties
+
+        monkeypatch.setattr(Network, "_exchange", recording)
+        with chk.checked_run():
+            Network(plan).run(30.0)
+        reference = calls.copy()
+        calls.clear()
+        network = Network(plan)
+        network.run(30.0)
+        assert network.kernel_cell_runs > 0
+        assert len(reference) == 15
+        assert calls == reference
+
     def test_handovers_actually_happen(self):
         network, _ = run_reports(small_plan(coupling_db=6.0), 30.0)
         assert network.handover_count > 0
