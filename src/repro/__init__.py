@@ -7,7 +7,7 @@ The package layers:
   mobility, channel models; the femtocell's iTbs override).
 * :mod:`repro.mac` — MAC schedulers (two-phase GBR Priority Set,
   proportional fair), GBR bearers, RB/rate tracing.
-* :mod:`repro.net` — flows, fluid TCP, PCRF/PCEF.
+* :mod:`repro.net` — flows, fluid TCP, PCRF.
 * :mod:`repro.has` — MPD model, playout buffer, HAS player.
 * :mod:`repro.abr` — FESTIVE, GOOGLE, AVIS, rate-/buffer-based
   baselines, the FLARE plugin client.

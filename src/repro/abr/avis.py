@@ -167,13 +167,11 @@ class AvisNetworkAgent:
                 # the client keeps requesting a rung below (or, after an
                 # unthrottled burst, above) what the network assigned.
                 mbr = gbr
-                cell.pcef.enforce(flow.flow_id, gbr_bps=gbr, mbr_bps=mbr,
-                                  time_s=now_s)
+                cell.registry.update_gbr(flow.flow_id, gbr, mbr, now_s)
 
         if data_flows and data_prbs_per_s > 0:
             per_flow_prbs = data_prbs_per_s / len(data_flows)
             for flow in data_flows:
                 efficiency = flow.ue.channel.bytes_per_prb_at(now_s)
                 cap_bps = per_flow_prbs * efficiency * 8.0
-                cell.pcef.enforce(flow.flow_id, gbr_bps=0.0, mbr_bps=cap_bps,
-                                  time_s=now_s)
+                cell.registry.update_gbr(flow.flow_id, 0.0, cap_bps, now_s)

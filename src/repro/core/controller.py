@@ -54,17 +54,13 @@ class FlareSystem:
         enforce_gbr: bool = True,
         enforce_step_limit: bool = True,
         cost_smoothing: float = 0.1,
-        audit: bool = False,
-        max_records: int | None = None,
     ) -> None:
         self.algorithm = Algorithm1(
             make_solver(solver), delta=delta,
             enforce_step_limit=enforce_step_limit)
         self.server = OneApiServer(
             self.algorithm, interval_s=bai_s, alpha=alpha,
-            enforce_gbr=enforce_gbr, cost_smoothing=cost_smoothing,
-            audit=audit, max_records=max_records)
-        self._plugins: dict[int, FlarePlugin] = {}
+            enforce_gbr=enforce_gbr, cost_smoothing=cost_smoothing)
 
     def install(self, cell: Cell) -> None:
         """Register the OneAPI server as the cell's BAI controller."""
@@ -96,7 +92,6 @@ class FlareSystem:
             player.flow.flow_id, mpd.ladder,
             max_bitrate_bps=max_bitrate_bps, skimming=skimming)
         player.abr = FlareClientAbr(plugin)
-        self._plugins[player.flow.flow_id] = plugin
         self.server.register_plugin(plugin)
         if obs.TRACER is not None:
             obs.TRACER.emit(
@@ -113,9 +108,10 @@ class FlareSystem:
         """The plugin embedded in flow ``flow_id``'s player.
 
         Raises:
-            KeyError: for flows not attached through this system.
+            KeyError: for flows this system's server does not serve
+                (never attached, or handed over to another cell).
         """
-        return self._plugins[flow_id]
+        return self.server.plugin_for(flow_id)
 
 
 class MultiCellOneApi:

@@ -10,8 +10,13 @@ Once per bitrate assignment interval (BAI) the server
    optional caps);
 4. runs Algorithm 1 (solver + stability hysteresis);
 5. enforces the decision both ways: the PCEF programs each video
-   flow's GBR at the eNodeB, and the plugin pins the player's next
-   requests to the assigned index.
+   flow's GBR at the eNodeB (here the cell's Continuous GBR Updater,
+   :meth:`repro.mac.gbr.BearerRegistry.update_gbr`), and the plugin
+   pins the player's next requests to the assigned index.
+
+The server is the only store of both: its bounded :attr:`records`
+ring keeps each BAI's decision, and its plugin registry
+(:meth:`plugin_for`) the live clients.
 
 The server is an *interval controller* for
 :class:`repro.sim.cell.Cell` — the cell invokes :meth:`on_interval`
@@ -60,54 +65,41 @@ class OneApiServer:
         interval_s: the BAI length ``B`` in seconds.
         alpha: data-vs-video balance knob of equation (3).
         enforce_gbr: when True (paper behaviour), decisions are pushed
-            to the MAC through the PCEF; when False only the plugins
-            are updated (the mis-coordination ablation).
+            to the MAC as bearer GBRs; when False only the plugins are
+            updated (the mis-coordination ablation).
         cost_smoothing: EWMA weight applied to the per-flow
             bytes-per-RB estimates across BAIs (1.0 = use each BAI's
             raw ``b_u / n_u`` as the paper's formulation states; lower
             values average over ~1/weight BAIs, insulating the
             optimizer against residual per-BAI throughput noise the
             paper's 2-second ns-3 averages did not exhibit).
-        audit: when True, keep *every* :class:`BaiRecord` for the
-            lifetime of the server (the historical behaviour, needed by
-            the audit/ablation benches that replay full decision logs).
-            When False (the default) records are kept in a bounded ring
-            of the most recent ``max_records`` BAIs so long metro runs
-            do not accumulate one record per cell per BAI forever.
-        max_records: ring capacity when ``audit`` is False.
     """
 
     name = "flare"
 
-    #: Default ring capacity for BAI records when ``audit=False``.
-    DEFAULT_MAX_RECORDS = 4096
+    #: Capacity of the BAI record ring: long metro runs keep the most
+    #: recent BAIs instead of one record per cell per BAI forever.
+    MAX_RECORDS = 4096
 
     def __init__(self, algorithm: Algorithm1, interval_s: float = 2.0,
                  alpha: float = 1.0, enforce_gbr: bool = True,
-                 cost_smoothing: float = 0.1, audit: bool = False,
-                 max_records: int | None = None) -> None:
+                 cost_smoothing: float = 0.1) -> None:
         require_positive("interval_s", interval_s)
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         if not 0.0 < cost_smoothing <= 1.0:
             raise ValueError(
                 f"cost_smoothing must be in (0, 1], got {cost_smoothing}")
-        if max_records is not None and max_records <= 0:
-            raise ValueError(
-                f"max_records must be positive, got {max_records}")
         self.algorithm = algorithm
         self.interval_s = interval_s
         self.alpha = alpha
         self.enforce_gbr = enforce_gbr
         self.cost_smoothing = cost_smoothing
-        self.audit = audit
         self._plugins: dict[int, FlarePlugin] = {}
-        self._records: deque[BaiRecord] = deque(
-            maxlen=None if audit else (
-                max_records or self.DEFAULT_MAX_RECORDS))
+        self._records: deque[BaiRecord] = deque(maxlen=self.MAX_RECORDS)
         self._bpp_estimates: dict[int, Ewma] = {}
-        # Lifetime counters: unlike ``records`` (which may be a bounded
-        # ring) these never reset, so epoch-delta consumers such as
+        # Lifetime counters: unlike the ``records`` ring these never
+        # reset, so epoch-delta consumers such as
         # ``NetworkShard.epoch_telemetry`` stay exact on long runs.
         self.solve_count = 0
         self.infeasible_count = 0
@@ -119,18 +111,23 @@ class OneApiServer:
         self._plugins[plugin.flow_id] = plugin
 
     def deregister_plugin(self, flow_id: int) -> None:
-        """A client left (flow torn down)."""
+        """A client left (flow torn down or handed over)."""
         self._plugins.pop(flow_id, None)
         self.algorithm.forget(flow_id)
         self._bpp_estimates.pop(flow_id, None)
 
+    def plugin_for(self, flow_id: int) -> FlarePlugin:
+        """The registered plugin of flow ``flow_id``.
+
+        Raises:
+            KeyError: for flows with no registered plugin (never
+                attached, or deregistered on departure).
+        """
+        return self._plugins[flow_id]
+
     @property
     def records(self) -> tuple[BaiRecord, ...]:
-        """Retained BAI decisions, oldest first.
-
-        With ``audit=True`` this is every BAI ever run; otherwise the
-        most recent ``max_records`` of them.
-        """
+        """The most recent ``MAX_RECORDS`` BAI decisions, oldest first."""
         return tuple(self._records)
 
     # ------------------------------------------------------------------
@@ -203,14 +200,10 @@ class OneApiServer:
                           for spec in problem.flows)
             chk.CHECKER.check_gbr_capacity(now_s, gbr_rbs, problem.total_rbs)
         for flow_id, index in decision.indices.items():
-            plugin = self._plugins[flow_id]
-            plugin.assign(index, time_s=now_s)
+            self._plugins[flow_id].assign(index)
             if self.enforce_gbr:
-                cell.pcef.enforce(
-                    flow_id,
-                    gbr_bps=decision.rates_bps[flow_id],
-                    time_s=now_s,
-                )
+                cell.registry.update_gbr(
+                    flow_id, decision.rates_bps[flow_id], time_s=now_s)
         self._records.append(BaiRecord(
             time_s=now_s,
             decision=decision,

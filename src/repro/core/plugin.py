@@ -66,7 +66,6 @@ class FlarePlugin:
         self._max_bitrate_bps = max_bitrate_bps
         self._skimming = skimming
         self._assigned_index: int | None = None
-        self._assignment_history: list = []
 
     # -- uplink: client -> OneAPI server --------------------------------
     def client_info(self) -> ClientInfo:
@@ -89,18 +88,11 @@ class FlarePlugin:
         self._skimming = bool(skimming)
 
     # -- downlink: OneAPI server -> client -------------------------------
-    def assign(self, ladder_index: int, time_s: float = 0.0) -> None:
+    def assign(self, ladder_index: int) -> None:
         """Receive a bitrate assignment from the OneAPI server."""
-        index = self.ladder.clamp_index(ladder_index)
-        self._assigned_index = index
-        self._assignment_history.append((time_s, index))
+        self._assigned_index = self.ladder.clamp_index(ladder_index)
 
     @property
     def assigned_index(self) -> int | None:
         """The currently assigned ladder index (None before first BAI)."""
         return self._assigned_index
-
-    @property
-    def assignment_history(self) -> list:
-        """All (time, index) assignments received, oldest first."""
-        return list(self._assignment_history)

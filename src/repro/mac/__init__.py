@@ -6,7 +6,7 @@ Continuous GBR Updater (:class:`BearerRegistry`), and the RB & Rate
 Trace Module / Statistics Reporter (:class:`RbTraceModule`).
 """
 
-from repro.mac.gbr import BearerQos, BearerRegistry, GbrUpdate
+from repro.mac.gbr import BearerQos, BearerRegistry
 from repro.mac.priority_set import PrioritySetScheduler
 from repro.mac.rb_trace import FlowUsage, RbTraceModule
 from repro.mac.tti_reference import TtiReferenceScheduler
@@ -22,7 +22,6 @@ from repro.mac.scheduler import (
 __all__ = [
     "BearerQos",
     "BearerRegistry",
-    "GbrUpdate",
     "PrioritySetScheduler",
     "FlowUsage",
     "RbTraceModule",

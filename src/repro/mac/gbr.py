@@ -8,7 +8,7 @@ GBR/MBR settings from its network agent.
 
 :class:`BearerRegistry` is the in-simulator equivalent: a registry of
 per-flow QoS settings that the scheduler consults every step and the
-network-side controllers (FLARE's PCEF path, AVIS's cell agent) update
+network-side controllers (FLARE's OneAPI server, AVIS's cell agent) update
 at their own cadence.  All rates are in bits/second.
 """
 
@@ -50,18 +50,8 @@ class BearerQos:
         return self.gbr_bps > 0
 
 
-@dataclass
-class GbrUpdate:
-    """One recorded GBR change (for audit and tests)."""
-
-    time_s: float
-    flow_id: int
-    gbr_bps: float
-    mbr_bps: float | None
-
-
 class BearerRegistry:
-    """Per-flow QoS registry with an update history.
+    """Per-flow QoS registry.
 
     The registry is the meeting point of three modules from the
     paper's Figure 3: the *Continuous GBR Updater* (our
@@ -72,7 +62,6 @@ class BearerRegistry:
 
     def __init__(self) -> None:
         self._bearers: dict[int, BearerQos] = {}
-        self._updates: list[GbrUpdate] = []
         self._version = 0
 
     @property
@@ -137,7 +126,6 @@ class BearerRegistry:
         qos.mbr_bps = effective_mbr
         qos.priority = current.priority
         self._bearers[flow_id] = qos
-        self._updates.append(GbrUpdate(time_s, flow_id, gbr_bps, mbr_bps))
         self._version += 1
         if obs.TRACER is not None:
             obs.TRACER.emit(obs_events.GBR_UPDATE, time_s, flow=flow_id,
@@ -159,8 +147,3 @@ class BearerRegistry:
         items = [(fid, qos) for fid, qos in self._bearers.items() if qos.is_gbr]
         items.sort(key=lambda pair: (pair[1].priority, pair[0]))
         return items
-
-    @property
-    def update_history(self) -> tuple[GbrUpdate, ...]:
-        """All GBR updates applied so far, oldest first."""
-        return tuple(self._updates)

@@ -1,7 +1,7 @@
-"""Transport and core-network substrate: flows, fluid TCP, PCRF/PCEF."""
+"""Transport and core-network substrate: flows, fluid TCP, PCRF."""
 
 from repro.net.flows import DataFlow, Flow, FlowKind, UserEquipment, VideoFlow
-from repro.net.pcrf import FlowSession, Pcef, Pcrf, PolicyDecision
+from repro.net.pcrf import FlowSession, Pcrf
 from repro.net.tcp import FluidTcp, INITIAL_CWND_BYTES, MSS_BYTES
 
 __all__ = [
@@ -11,9 +11,7 @@ __all__ = [
     "UserEquipment",
     "VideoFlow",
     "FlowSession",
-    "Pcef",
     "Pcrf",
-    "PolicyDecision",
     "FluidTcp",
     "INITIAL_CWND_BYTES",
     "MSS_BYTES",

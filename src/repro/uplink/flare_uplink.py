@@ -46,7 +46,6 @@ class FlareUplinkSystem:
                                    alpha=alpha, enforce_gbr=True,
                                    cost_smoothing=cost_smoothing)
         self.adapter = UplinkCellAdapter()
-        self._plugins: dict[int, FlarePlugin] = {}
         self._installed = False
 
     def attach_streamer(
@@ -65,9 +64,7 @@ class FlareUplinkSystem:
                               max_backlog_segments=max_backlog_segments)
         streamer = UplinkStreamer(flow, encoder)
         self.adapter.add(streamer)
-        plugin = FlarePlugin(flow.flow_id, ladder)
-        self._plugins[flow.flow_id] = plugin
-        self.server.register_plugin(plugin)
+        self.server.register_plugin(FlarePlugin(flow.flow_id, ladder))
         return streamer
 
     def install(self, cell: Cell) -> None:
@@ -79,9 +76,9 @@ class FlareUplinkSystem:
 
         def push_assignments(now_s: float) -> None:
             for streamer in self.adapter.streamers:
-                plugin = self._plugins.get(streamer.flow.flow_id)
-                if plugin is not None and plugin.assigned_index is not None:
-                    streamer.set_assigned_index(plugin.assigned_index)
+                index = self.plugin_for(streamer.flow.flow_id).assigned_index
+                if index is not None:
+                    streamer.set_assigned_index(index)
 
         cell.add_step_hook(push_assignments)
         self._installed = True
@@ -92,4 +89,4 @@ class FlareUplinkSystem:
         Raises:
             KeyError: for flows not attached through this system.
         """
-        return self._plugins[flow_id]
+        return self.server.plugin_for(flow_id)

@@ -130,7 +130,6 @@ class HandoverManager:
         target.adopt_video_flow(player)
         if plugin is not None and target_system is not None:
             target_system.server.register_plugin(plugin)
-            target_system._plugins[player.flow.flow_id] = plugin
 
     def migrate(self, player: HasPlayer, source: Cell,
                 source_system: FlareSystem | None, target: Cell,

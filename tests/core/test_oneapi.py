@@ -95,9 +95,11 @@ class TestOneApiServer:
             PlayerConfig(request_threshold_s=12.0),
             max_bitrate_bps=0.5e6)
         cell.run(60.0)
-        plugin = flare.plugin_for(player.flow.flow_id)
-        assert all(idx <= SIMULATION_LADDER.highest_at_most(0.5e6)
-                   for _, idx in plugin.assignment_history)
+        records = flare.server.records
+        assert records
+        cap_index = SIMULATION_LADDER.highest_at_most(0.5e6)
+        assert all(r.decision.indices[player.flow.flow_id] <= cap_index
+                   for r in records)
 
     def test_no_plugins_no_records(self):
         cell = Cell(CellConfig())
@@ -123,8 +125,6 @@ class TestOneApiServer:
             OneApiServer(algorithm, alpha=-1.0)
         with pytest.raises(ValueError):
             OneApiServer(algorithm, cost_smoothing=0.0)
-        with pytest.raises(ValueError):
-            OneApiServer(algorithm, max_records=0)
 
 
 class TestServerStateLifecycle:
@@ -160,37 +160,31 @@ class TestServerStateLifecycle:
         assert set(server._bpp_estimates) == live
         assert set(server.algorithm._states) == live
 
-    def test_records_ring_keeps_most_recent(self):
-        cell, flare, _, _ = build_flare_cell(max_records=3)
+    def test_records_ring_keeps_most_recent(self, monkeypatch):
+        monkeypatch.setattr(OneApiServer, "MAX_RECORDS", 3)
+        cell, flare, _, _ = build_flare_cell()
         cell.run(20.0)  # 9 BAIs at t = 2..18
         assert flare.server.solve_count == 9
         records = flare.server.records
         assert len(records) == 3
         assert [r.time_s for r in records] == pytest.approx([14, 16, 18])
 
-    def test_audit_keeps_every_record(self):
-        cell, flare, _, _ = build_flare_cell(audit=True)
-        cell.run(20.0)
-        assert len(flare.server.records) == 9
-
     def test_default_ring_capacity(self):
         server = OneApiServer(Algorithm1(ExactSolver()))
-        assert server._records.maxlen == OneApiServer.DEFAULT_MAX_RECORDS
-        audited = OneApiServer(Algorithm1(ExactSolver()), audit=True)
-        assert audited._records.maxlen is None
+        assert server._records.maxlen == OneApiServer.MAX_RECORDS == 4096
 
 
 class TestCoordinationEndToEnd:
     def test_players_request_assigned_bitrates(self):
         cell, flare, players, _ = build_flare_cell(num_video=2, itbs=20)
         cell.run(120.0)
+        records = flare.server.records
         for player in players:
-            plugin = flare.plugin_for(player.flow.flow_id)
-            history = dict(plugin.assignment_history)
             # Every downloaded segment after the first BAI matches some
             # assignment that was in force.
-            assigned_rates = {SIMULATION_LADDER.rate(i)
-                              for _, i in plugin.assignment_history}
+            assigned_rates = {
+                SIMULATION_LADDER.rate(r.decision.indices[player.flow.flow_id])
+                for r in records}
             late_segments = [r for r in player.log.records
                              if r.request_time_s > 4.0]
             assert late_segments

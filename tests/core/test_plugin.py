@@ -1,5 +1,7 @@
 """Tests for the FLARE UE plugin and its client-info protocol."""
 
+import pickle
+
 import pytest
 
 from repro.core.plugin import ClientInfo, FlarePlugin
@@ -40,11 +42,21 @@ class TestFlarePlugin:
     def test_assignment_roundtrip(self):
         plugin = FlarePlugin(3, SIMULATION_LADDER)
         assert plugin.assigned_index is None
-        plugin.assign(4, time_s=2.0)
+        plugin.assign(4)
         assert plugin.assigned_index == 4
-        plugin.assign(2, time_s=4.0)
+        plugin.assign(2)
         assert plugin.assigned_index == 2
-        assert plugin.assignment_history == [(2.0, 4), (4.0, 2)]
+
+    def test_state_does_not_grow_with_assignments(self):
+        # A plugin crosses shards inside every handover blob, so its
+        # size must not depend on how many BAIs it has been through.
+        plugin = FlarePlugin(3, SIMULATION_LADDER)
+        plugin.assign(1)
+        once = len(pickle.dumps(plugin))
+        for k in range(98):
+            plugin.assign(k % 6)
+        plugin.assign(1)
+        assert len(pickle.dumps(plugin)) == once
 
     def test_assignment_clamped(self):
         plugin = FlarePlugin(3, SIMULATION_LADDER)

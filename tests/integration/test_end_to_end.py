@@ -34,17 +34,15 @@ class TestFlareCoordination:
     def test_gbr_tracks_assignments(self):
         scenario = build_testbed_scenario("flare", duration_s=120.0)
         scenario.run()
-        decisions = scenario.cell.pcef.decisions
-        assert decisions  # the PCEF enforced something
+        last = scenario.flare.server.records[-1].decision
         # Final GBR of each video flow equals its final assignment.
         for player in scenario.players:
-            plugin = scenario.flare.plugin_for(player.flow.flow_id)
-            qos = scenario.cell.registry.qos(player.flow.flow_id)
-            expected = scenario.players[0].mpd.ladder.rate(
-                plugin.assigned_index)
-            if plugin.flow_id == player.flow.flow_id:
-                expected = player.mpd.ladder.rate(plugin.assigned_index)
-            assert qos.gbr_bps == pytest.approx(expected)
+            flow_id = player.flow.flow_id
+            plugin = scenario.flare.plugin_for(flow_id)
+            qos = scenario.cell.registry.qos(flow_id)
+            assert qos.gbr_bps == last.rates_bps[flow_id]
+            assert qos.gbr_bps == pytest.approx(
+                player.mpd.ladder.rate(plugin.assigned_index))
 
 
 class TestMixedTraffic:

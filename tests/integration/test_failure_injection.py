@@ -95,17 +95,19 @@ class TestControlPlaneFailure:
             cell, UserEquipment(StaticItbsChannel(15)), mpd,
             PlayerConfig(request_threshold_s=12.0))
         cell.run(60.0)
-        assignments_before = len(flare.plugin_for(
-            player.flow.flow_id).assignment_history)
-        assert assignments_before > 0
+        records_before = flare.server.records
+        assert records_before
+        plugin = flare.plugin_for(player.flow.flow_id)
+        index_before = plugin.assigned_index
+        assert index_before is not None
 
         # The OneAPI server dies at t = 60 s.
         cell.remove_controller(flare.server)
         cell.run(120.0)
 
-        plugin = flare.plugin_for(player.flow.flow_id)
         # No new assignments arrived...
-        assert len(plugin.assignment_history) == assignments_before
+        assert flare.server.records == records_before
+        assert plugin.assigned_index == index_before
         # ...but the player keeps streaming at the last assigned rate
         # without stalling (GBR remains programmed at the MAC).
         assert player.rebuffer_time_s == pytest.approx(0.0, abs=0.5)

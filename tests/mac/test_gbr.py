@@ -50,9 +50,10 @@ class TestBearerRegistry:
         registry = BearerRegistry()
         registry.register(1)
         registry.update_gbr(1, 1e6, time_s=10.0)
-        registry.update_gbr(1, 2e6, time_s=12.0)
+        assert registry.qos(1).gbr_bps == 1e6
+        registry.update_gbr(1, 2e6, mbr_bps=3e6, time_s=12.0)
         assert registry.qos(1).gbr_bps == 2e6
-        assert [u.gbr_bps for u in registry.update_history] == [1e6, 2e6]
+        assert registry.qos(1).mbr_bps == 3e6
 
     def test_update_preserves_mbr_when_omitted(self):
         registry = BearerRegistry()

@@ -288,6 +288,31 @@ class TestHandoverSemantics:
             # metro plans use flow_id == ue_id
             assert network.serving_cell(flow_id) == target
 
+    def test_plugin_registries_track_live_players(self, monkeypatch):
+        shards = []
+        init = NetworkShard.__init__
+
+        def keep(shard, *args, **kwargs):
+            init(shard, *args, **kwargs)
+            shards.append(shard)
+
+        monkeypatch.setattr(NetworkShard, "__init__", keep)
+        network = Network(small_plan())
+        network.run(30.0, shards=1)
+        assert network.records
+        [shard] = shards
+        for cell_id in shard.cell_ids:
+            built = shard.built(cell_id)
+            assert set(built.system.server._plugins) \
+                == set(built.cell.players)
+            for flow_id, player in built.cell.players.items():
+                assert built.system.plugin_for(flow_id) is player.abr.plugin
+        for record in network.records:
+            source = shard.built(record.source_cell_id)
+            if record.flow_id not in source.cell.players:
+                with pytest.raises(KeyError):
+                    source.system.plugin_for(record.flow_id)
+
     def test_blob_roundtrip_preserves_player_and_plugin(self):
         plan = small_plan()
         shard = NetworkShard(plan, list(range(plan.sites.num_cells)))
