@@ -49,6 +49,9 @@ class PrioritySetScheduler(Scheduler):
         require_positive("pf_time_constant_s", pf_time_constant_s)
         self.pf = ProportionalFairScheduler(pf_time_constant_s)
 
+    def forget(self, flow_id: int) -> None:
+        self.pf.forget(flow_id)
+
     def allocate(self, now_s: float, step_s: float, flows: Sequence[Flow],
                  prb_budget: float,
                  registry: BearerRegistry) -> dict[int, Allocation]:

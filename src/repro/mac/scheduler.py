@@ -130,6 +130,9 @@ class Scheduler:
         """
         raise NotImplementedError
 
+    def forget(self, flow_id: int) -> None:
+        """Drop the per-flow state of a flow that left the cell."""
+
     def _gather_claims(self, now_s: float, step_s: float,
                        flows: Sequence[Flow],
                        registry: BearerRegistry) -> list[_Claim]:
@@ -188,6 +191,11 @@ class ProportionalFairScheduler(Scheduler):
         avg = self._avg_rate_bps.get(claim.flow.flow_id, 0.0)
         floor = 1e3  # avoids division blow-up for never-served flows
         return achievable_bps / max(avg, floor)
+
+    def forget(self, flow_id: int) -> None:
+        """A departed flow's served average leaves with it: a flow that
+        returns restarts from no service history, like a new flow."""
+        self._avg_rate_bps.pop(flow_id, None)
 
     def _update_averages(self, step_s: float, flows: Sequence[Flow],
                          grants: dict[int, Allocation],

@@ -47,6 +47,9 @@ class TtiReferenceScheduler(Scheduler):
         self.time_constant_s = time_constant_s
         self._avg_rate_bps: dict[int, float] = {}
 
+    def forget(self, flow_id: int) -> None:
+        self._avg_rate_bps.pop(flow_id, None)
+
     def _pf_metric(self, claim: _Claim) -> float:
         achievable = bytes_to_bits(claim.bytes_per_prb) / self.tti_s
         avg = self._avg_rate_bps.get(claim.flow.flow_id, 0.0)

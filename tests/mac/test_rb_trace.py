@@ -42,6 +42,17 @@ class TestRbTraceModule:
         assert (forward.total_cumulative_prbs().hex()
                 == backward.total_cumulative_prbs().hex())
 
+    def test_retired_flow_restarts_but_stays_in_total(self):
+        trace = RbTraceModule()
+        trace.record(1, 5.0, 85.0)
+        trace.record(2, 3.0, 51.0)
+        trace.retire(1)
+        assert trace.cumulative(1) == (0.0, 0.0)
+        assert trace.total_cumulative_prbs() == pytest.approx(8.0)
+        trace.record(1, 2.0, 34.0)
+        assert trace.cumulative(1) == (2.0, 34.0)
+        assert trace.total_cumulative_prbs() == pytest.approx(10.0)
+
     def test_negative_rejected(self):
         trace = RbTraceModule()
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.mac.scheduler import (
     _Claim,
     waterfill_prbs,
 )
+from repro.mac.tti_reference import TtiReferenceScheduler
 from repro.net.flows import DataFlow, UserEquipment, VideoFlow
 from repro.net.tcp import FluidTcp
 from repro.phy.channel import StaticItbsChannel
@@ -139,6 +140,18 @@ class TestProportionalFair:
         # have been dragged to zero-versus-undefined asymmetry; it was
         # simply never updated.
         assert idle.flow_id not in scheduler._avg_rate_bps
+
+    @pytest.mark.parametrize("make_scheduler", [
+        ProportionalFairScheduler, TtiReferenceScheduler])
+    def test_forget_drops_served_average(self, make_scheduler):
+        scheduler = make_scheduler()
+        registry = BearerRegistry()
+        flow = make_data_flow()
+        registry.register(flow.flow_id)
+        scheduler.allocate(0.0, 0.01, [flow], 500.0, registry)
+        assert scheduler._avg_rate_bps[flow.flow_id] > 0
+        scheduler.forget(flow.flow_id)
+        assert flow.flow_id not in scheduler._avg_rate_bps
 
 
 class TestRoundRobin:
