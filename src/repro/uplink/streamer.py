@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.net.flows import VideoFlow
 from repro.uplink.encoder import LiveEncoder, ProducedSegment
+from repro.util import step_time
 
 if TYPE_CHECKING:
     from repro.sim.cell import Cell
@@ -47,9 +48,9 @@ class UplinkStreamer:
             self.encoder.set_ladder_index(ladder_index)
 
     # -- step phases -------------------------------------------------------
-    def note_time(self, now_s: float) -> None:
-        """Record the current step's end (for upload timestamps)."""
-        self._step_end_s = now_s
+    def note_time(self, end_s: float) -> None:
+        """Record the end of the step about to deliver (upload stamps)."""
+        self._step_end_s = end_s
 
     def issue_uploads(self, now_s: float) -> None:
         """Produce due segments and keep the flow's upload going."""
@@ -141,14 +142,14 @@ class UplinkCellAdapter:
         Uses a pre-step trick: the hook fires at the *end* of step N,
         producing segments that become backlog for step N+1 — a one-
         step (20 ms) production latency, negligible against the
-        segment cadence.
+        segment cadence.  An upload completing in step N+1 is stamped
+        with that step's end, as a downlink segment is.
         """
-        for streamer in self._streamers:
-            streamer.issue_uploads(cell.now_s)  # bootstrap at t = 0
-
-        def hook(now_s: float) -> None:
+        def prepare(now_s: float) -> None:
+            end = step_time(cell._steps + 1, cell.config.step_s)
             for streamer in self._streamers:
-                streamer.note_time(now_s)
+                streamer.note_time(end)
                 streamer.issue_uploads(now_s)
 
-        cell.add_step_hook(hook)
+        prepare(cell.now_s)  # bootstrap at t = 0
+        cell.add_step_hook(prepare)

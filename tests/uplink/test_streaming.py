@@ -37,6 +37,31 @@ class TestStreamerStandalone:
         assert encoder.dropped_count() == 0
         assert encoder.mean_latency_s() < 2.0
 
+    def test_upload_stamped_with_delivering_step_end(self):
+        cell = make_cell()
+        flow = VideoFlow(UserEquipment(StaticItbsChannel(15)))
+        cell.register_bare_video_flow(flow, SIMULATION_LADDER)
+        encoder = LiveEncoder(SIMULATION_LADDER, segment_duration_s=2.0)
+        encoder.set_ladder_index(3)
+        streamer = UplinkStreamer(flow, encoder)
+        adapter = UplinkCellAdapter()
+        adapter.add(streamer)
+        adapter.install(cell)
+        # A hook registered after the adapter's runs at the end of the
+        # step that delivered a segment's last byte.
+        seen = {}
+
+        def watch(now_s):
+            for segment in encoder.uploaded_segments():
+                seen.setdefault(segment.index, now_s)
+
+        cell.add_step_hook(watch)
+        cell.run(12.0)
+        uploaded = encoder.uploaded_segments()
+        assert len(uploaded) >= 5
+        for segment in uploaded:
+            assert segment.uploaded_at_s == seen[segment.index]
+
     def test_overloaded_encoder_drops_stale_segments(self):
         # Fixed 3 Mbps encoding into a ~1.4 Mbps uplink share.
         cell = make_cell()
