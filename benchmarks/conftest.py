@@ -8,8 +8,8 @@ autouse fixture emits a machine-readable ``BENCH_<test>.json`` (wall
 time, cells executed vs served from cache, worker count, aggregate
 QoE metrics) into the same directory.  CI's ``smoke`` job runs the
 Table I and II benches with ``REPRO_FULL=1`` (600 s, seeds 1-3: the
-duration the paper states their claims for); the other benches run
-only by hand.
+duration the paper states their claims for) and every other bench at
+the quick scale below.
 
 Scale: benchmarks default to the reduced quick scale (so the suite
 finishes in minutes); set ``REPRO_FULL=1`` for paper-fidelity runs

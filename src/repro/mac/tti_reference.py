@@ -72,8 +72,6 @@ class TtiReferenceScheduler(Scheduler):
             for flow_id, _ in registry.gbr_flows()
         }
 
-        delivered_bits: dict[int, float] = {c.flow.flow_id: 0.0
-                                            for c in claims}
         for _ in range(num_ttis):
             prbs_left = self.prb_per_tti
             tti_delivered: dict[int, float] = {}
@@ -127,6 +125,5 @@ class TtiReferenceScheduler(Scheduler):
                     / self.tti_s
                 old = self._avg_rate_bps.get(flow_id, 0.0)
                 self._avg_rate_bps[flow_id] = (1 - decay) * old + decay * rate
-                delivered_bits[flow_id] += tti_delivered.get(flow_id, 0.0)
 
         return result

@@ -40,6 +40,17 @@ count times ``step_s`` (:func:`repro.util.step_time`, inlined).  Run
 targets are step counts and controller deadlines whole TTIs, so
 firing, stopping and lazy-player wake-ups are integer comparisons.
 
+**Idle stride.**  Between segment downloads a client only drains its
+buffer, and controllers act once per interval, so most steps of a
+servable cell carry no traffic.  When the run loop finds no step hook,
+the vector lane off, no backlogged flow and no hot player, it jumps the
+clock in O(1) (``TtiKernel._stride``) to the first step at which
+anything can happen: the run's stop, a controller's due step, a lazy
+player's wake-up or, for primed-table channels, the next fading
+bucket's first step.  Skipped steps count as fast steps, so the lazy
+idle-TCP and playback replays settle them at the next observation, as
+they settle a parked player's owed steps.
+
 **Observability.**  An installed tracer or invariant sanitizer makes
 the kernel decline, so the object path runs instead: it emits every
 per-step event and runs every per-step check, and it is the reference
@@ -390,12 +401,15 @@ class TtiKernel:
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
                     return False
-            if earliest_due(cell._controllers) <= cell._steps * step_ttis:
+            due = earliest_due(cell._controllers)
+            if due <= cell._steps * step_ttis:
                 self.flush()
                 cell._fire_due_controllers()
                 if self._dirty or cell.scheduler is not self._sched_obj:
                     continue
                 self._reload_boundary()
+            elif self._stride(stop, due):
+                continue
             self._step_fast()
             if cell._step_hooks:
                 self.flush()
@@ -405,6 +419,52 @@ class TtiKernel:
                 if not self._dirty:
                     self._reload_boundary()
         self.flush()
+        return True
+
+    def _stride(self, stop: int, due: float) -> bool:
+        """Jump the clock over steps in which nothing can happen.
+
+        A hook-free cell off the vector lane, with no backlogged flow
+        and no hot player, lands at the earliest of ``stop``, the step
+        at which ``due`` (the earliest controller deadline, in TTIs)
+        fires, the first lazy-player wake-up and, for table channels,
+        the next fading bucket's first step.  Returns True when steps
+        were skipped.
+        """
+        cell = self._cell
+        if cell._step_hooks or self._vec_hot or self._pl_hot_list:
+            return False
+        if self._act_stale:
+            self._act_rescan()
+        if self._act_slots:
+            return False
+        step = cell._steps
+        land = stop
+        step_ttis = cell._step_ttis
+        if due < land * step_ttis:
+            land = -(-int(due) // step_ttis)
+        if self._pl_wake_min < land:
+            land = int(self._pl_wake_min)
+        if self._tbl_slots:
+            # The fused step's own bucket expression: an unprimed
+            # channel evaluates at its bucket's first stepped time.
+            step_s = self._step_s
+            period = self._tbl_period
+            bucket = self._tbl_bucket
+            if bucket is None or math.floor(step * step_s / period) != bucket:
+                return False
+            # First step of the next bucket: an estimate at most a step
+            # or two early, settled on the same expression.
+            after = int((bucket + 1) * period / step_s) - 1
+            while math.floor(after * step_s / period) <= bucket:
+                after += 1
+            if after < land:
+                land = after
+        if land <= step:
+            return False
+        cell._steps = land
+        self._fast_steps += land - step
+        self._mirrors_hot = True
         return True
 
     def flush(self) -> None:
@@ -1675,6 +1735,10 @@ class TtiKernel:
         primes nothing: an unprimed channel answers from its scalar
         ``itbs_at``, evaluated at ``now``, the bucket's first stepped
         time, exactly when the scalar cache would have evaluated it.
+        That is why the idle stride never skips the step of a bucket
+        whose table is not filled yet, and lands no later than the next
+        bucket's first step: a later first query would evaluate the
+        chain at a later time.
         """
         channels = self._tbl_channels
         itbs = self._tbl_itbs

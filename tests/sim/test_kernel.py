@@ -9,9 +9,10 @@ trace, delivered totals, playback) shows up as a serialization or
 ledger diff.  An armed sanitizer or tracer makes the kernel
 decline, so the kernel side runs unarmed and proves it took fast steps.
 
-Idle stretches get targeted scenarios: every step of a client that
-starts late runs the fused step, and controller deadlines, player
-starts and the run end land on the object path's clock values.  The
+Idle stretches get targeted scenarios: the kernel strides over the
+steps of a client that starts late, and controller deadlines, player
+starts, fading-bucket edges and the run end still land on the object
+path's clock values.  The
 per-TTI reference scheduler pins two properties: the kernel refuses
 cells it cannot mirror, and the fluid path it accelerates stays within
 the reference discipline's agreement envelope.
@@ -31,6 +32,8 @@ from repro.net.flows import UserEquipment, reset_entity_ids
 from repro.obs.tracer import tracing
 from repro.phy.channel import OutageChannel, StaticItbsChannel
 from repro.sim import Cell, CellConfig
+from repro.sim.network import PenaltyMap
+from repro.workload.metro import build_metro_cell, build_metro_plan
 from repro.workload.multicell import build_multicell_scenario
 from repro.workload.scenarios import (
     build_cell_scenario,
@@ -131,44 +134,79 @@ def run_report(cell, sampler, duration_s):
 
 
 class TestIdleStretches:
-    """A client that starts late: kernel == object path, every step."""
+    """Idle stretches: kernel == object path, and the stride engages."""
+
+    @pytest.fixture(autouse=True)
+    def _spy(self, fused_calls):
+        self.calls = fused_calls
 
     def _compare(self, start, interval, duration, flare=False):
+        """Both paths' reports agree; returns (steps, fused calls)."""
         cell, sampler = idle_start_cell(start, interval, flare)
         fast = run_report(cell, sampler, duration)
         fast_steps = cell._kernel._fast_steps
+        calls = self.calls[0]
         with chk.checking():
             cell, sampler = idle_start_cell(start, interval, flare)
             slow = run_report(cell, sampler, duration)
         assert fast == slow
-        return fast_steps
+        return fast_steps, calls
 
     def test_idle_prefix(self):
-        # 6 s idle gap, 1 s sampler: all 600 steps of the 12 s run take
-        # the fused step, the idle ones included.
-        assert self._compare(6.0, 1.0, 12.0) == 600
+        # 6 s idle gap, 1 s sampler: the kernel completes all 600 steps
+        # of the 12 s run but strides over idle ones between deadlines.
+        steps, calls = self._compare(6.0, 1.0, 12.0)
+        assert steps == 600
+        assert calls < steps
 
     def test_idle_prefix_with_flare(self):
         # The same with FLARE's 2 s BAI controller installed.
-        assert self._compare(6.0, 1.0, 12.0, flare=True) == 600
+        steps, calls = self._compare(6.0, 1.0, 12.0, flare=True)
+        assert steps == 600
+        assert calls < steps
 
     def test_deadline_at_player_start(self):
         # The sampler's only deadline coincides with the player start:
         # the step covering both fires the sampler, then starts play.
-        assert self._compare(5.0, 5.0, 10.0) > 0
+        steps, _ = self._compare(5.0, 5.0, 10.0)
+        assert steps > 0
 
     def test_bai_edge(self):
         # FLARE's 2 s BAI controller fires at 2/4/... during the idle
         # stretch, at the same step as the object loop.
-        assert self._compare(5.0, 1.0, 12.0, flare=True) > 0
+        steps, _ = self._compare(5.0, 1.0, 12.0, flare=True)
+        assert steps > 0
 
     def test_deadline_every_step(self):
-        # A controller due every single step: a boundary per step.
-        assert self._compare(2.0, 0.02, 4.0) > 0
+        # A controller due every single step: a boundary per step, so
+        # there is no step to stride over.
+        steps, calls = self._compare(2.0, 0.02, 4.0)
+        assert steps == calls == 200
 
     def test_backlogged_from_start(self):
         # Starting at t=0 there is never an idle window.
-        assert self._compare(0.0, 1.0, 8.0) > 0
+        steps, _ = self._compare(0.0, 1.0, 8.0)
+        assert steps > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unprimed_table_channels(self, seed):
+        # A metro cell run on its own: nothing primes its MetroChannels,
+        # so each one evaluates its chain at the first query of a fading
+        # bucket.  The stride never skips a bucket's first step.
+        plan = build_metro_plan(num_cells=4, ues_per_cell=3, isd_m=300.0,
+                                seed=seed)
+
+        def report():
+            built = build_metro_cell(plan, 0, PenaltyMap())
+            return run_report(built.cell, built.sampler, 60.0), built.cell
+
+        fast, cell = report()
+        calls = self.calls[0]
+        with chk.checked_run():
+            slow, _ = report()
+        assert fast == slow
+        assert cell._kernel._fast_steps == 3000
+        assert calls < 3000
 
 
 # ----------------------------------------------------------------------

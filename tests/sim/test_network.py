@@ -20,6 +20,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import check as chk
 from repro.core.plugin import FlarePlugin
@@ -41,7 +43,7 @@ from repro.sim.network import (
     prime_metro_channels,
 )
 from repro.workload.handover import HandoverManager
-from repro.workload.metro import build_metro_plan
+from repro.workload.metro import METRO_SCHEMES, build_metro_plan
 from repro.workload.multicell import build_multicell_scenario
 
 
@@ -68,14 +70,20 @@ class TestDifferentialMatrix:
         ("flare", 1, 6.0),
         ("festive", 0, 6.0),
     ])
-    def test_three_modes_byte_identical(self, scheme, seed, coupling_db):
+    def test_three_modes_byte_identical(self, scheme, seed, coupling_db,
+                                        fused_calls):
         plan = small_plan(scheme, seed, coupling_db)
         with chk.checked_run():
             ref_net, ref = run_reports(plan, 30.0, lockstep=True)
         bat_net, batched = run_reports(plan, 30.0, shards=1)
+        fused = fused_calls[0]
         shard_net, sharded = run_reports(plan, 30.0, shards=2)
         assert bat_net.kernel_cell_runs > 0
         assert shard_net.kernel_cell_runs > 0
+        # The in-process kernels strode over idle steps: they took
+        # fewer fused steps than the cell-steps of their epochs.
+        epoch_steps = round(plan.exchange_s / plan.params["step_s"])
+        assert fused < bat_net.kernel_cell_runs * epoch_steps
         assert ref == batched
         assert batched == sharded
         assert ref_net.records == bat_net.records == shard_net.records
@@ -149,6 +157,39 @@ class TestDifferentialMatrix:
         assert "exit code 3" in message
         assert f"epoch 3 (t={3 * plan.exchange_s:g} s)" in message
         assert "shard 0 (cells [0, 1])" in message
+
+
+class TestRandomizedModes:
+    """Random small plans: lockstep == in-process == 2 shards.
+
+    The fixed matrix above pins a few hand-picked plans; this draws
+    them.  Hypothesis shrinks a failure to a minimal plan, which then
+    belongs in that matrix as a regression case.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(num_cells=st.integers(1, 4),
+           ues_per_cell=st.integers(1, 6),
+           scheme=st.sampled_from(METRO_SCHEMES),
+           coupling_db=st.sampled_from([0.0, 3.0, 6.0]),
+           hysteresis_db=st.sampled_from([1.0, 3.0]),
+           isd_m=st.sampled_from([250.0, 500.0]),
+           delta=st.sampled_from([0, 2, 4]),
+           step_s=st.sampled_from([0.01, 0.02]),
+           seed=st.integers(0, 2 ** 16))
+    def test_modes_agree(self, num_cells, ues_per_cell, scheme,
+                         coupling_db, hysteresis_db, isd_m, delta, step_s,
+                         seed):
+        plan = build_metro_plan(
+            num_cells=num_cells, ues_per_cell=ues_per_cell, scheme=scheme,
+            seed=seed, isd_m=isd_m, coupling_db=coupling_db,
+            hysteresis_db=hysteresis_db, delta=delta, step_s=step_s)
+        with chk.checked_run():
+            ref_net, ref = run_reports(plan, 20.0, lockstep=True)
+        bat_net, batched = run_reports(plan, 20.0, shards=1)
+        shard_net, sharded = run_reports(plan, 20.0, shards=2)
+        assert ref == batched == sharded
+        assert ref_net.records == bat_net.records == shard_net.records
 
 
 class TestObservabilityParity:
