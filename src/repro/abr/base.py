@@ -10,8 +10,7 @@ pure functions of that snapshot plus their own internal state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a circular import with repro.has.player
@@ -30,8 +29,6 @@ class AbrContext:
         buffer_level_s: seconds of video currently buffered.
         last_index: ladder index of the previously downloaded segment,
             or ``None`` for the first request.
-        throughput_samples_bps: observed per-segment download
-            throughputs, oldest first.
         flow_id: the underlying flow's identifier (used by coordinated
             schemes to look up network-assigned rates).
     """
@@ -42,7 +39,6 @@ class AbrContext:
     segment_index: int
     buffer_level_s: float
     last_index: int | None
-    throughput_samples_bps: Sequence[float] = field(default_factory=tuple)
     flow_id: int = -1
 
 

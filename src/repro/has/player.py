@@ -177,9 +177,9 @@ class HasPlayer:
             return self._active.ladder_index
         if self._pending is not None:
             return self._pending.ladder_index
-        if len(self.log) > 0:
-            return self.mpd.ladder.highest_at_most(
-                self.log.records[-1].bitrate_bps)
+        last_bitrate = self.log.last_bitrate()
+        if last_bitrate is not None:
+            return self.mpd.ladder.highest_at_most(last_bitrate)
         return None
 
     # ------------------------------------------------------------------
@@ -330,9 +330,9 @@ class HasPlayer:
 
     def _build_context(self, now_s: float) -> AbrContext:
         last_index: int | None = None
-        if len(self.log) > 0:
-            last_index = self.mpd.ladder.highest_at_most(
-                self.log.records[-1].bitrate_bps)
+        last_bitrate = self.log.last_bitrate()
+        if last_bitrate is not None:
+            last_index = self.mpd.ladder.highest_at_most(last_bitrate)
         return AbrContext(
             now_s=now_s,
             ladder=self.mpd.ladder,
@@ -340,7 +340,6 @@ class HasPlayer:
             segment_index=self._next_segment_index,
             buffer_level_s=self.buffer.level_s,
             last_index=last_index,
-            throughput_samples_bps=tuple(self.log.throughputs()),
             flow_id=self.flow.flow_id,
         )
 

@@ -51,6 +51,17 @@ bucket's first step.  Skipped steps count as fast steps, so the lazy
 idle-TCP and playback replays settle them at the next observation, as
 they settle a parked player's owed steps.
 
+**Fused spans.**  A step in which nothing crosses a boundary needs
+nothing from the run loop, so one ``_step_fast`` call runs a whole
+run of such steps: it unpacks its per-rebuild state once, then loops
+the per-step body until the next controller's due step.  It hands
+back after any step that leaves the loop work: a request issued or a
+download completed (boundary code, which may invalidate the kernel),
+a vector-lane step, or a cell that has just gone quiet enough to
+stride.  A cell with step hooks takes one step per call.  The steps
+inside a span are the steps the run loop would have taken one call
+at a time, with the same float operations in the same order.
+
 **Observability.**  An installed tracer or invariant sanitizer makes
 the kernel decline, so the object path runs instead: it emits every
 per-step event and runs every per-step check, and it is the reference
@@ -408,9 +419,19 @@ class TtiKernel:
                 if self._dirty or cell.scheduler is not self._sched_obj:
                     continue
                 self._reload_boundary()
+                due = earliest_due(cell._controllers)
             elif self._stride(stop, due):
                 continue
-            self._step_fast()
+            # Span end: step hooks are a boundary after every step, and
+            # a controller fires at the start of the first step whose
+            # TTI count reaches its due TTI (the bound _stride uses).
+            if cell._step_hooks:
+                until = cell._steps + 1
+            elif due < stop * step_ttis:
+                until = -(-int(due) // step_ttis)
+            else:
+                until = stop
+            self._step_fast(until)
             if cell._step_hooks:
                 self.flush()
                 now = cell.now_s
@@ -713,9 +734,9 @@ class TtiKernel:
         self._reload_mutable()
         # One-load bundle of every per-slot array the scalar MAC phase
         # of ``_step_fast`` touches; it unpacks them in a single
-        # statement instead of ~25 attribute loads per step.  Everything
-        # in here is mutated in place (never rebound) until the next
-        # rebuild.
+        # statement per span instead of ~25 attribute loads per step.
+        # Everything in here is mutated in place (never rebound) until
+        # the next rebuild.
         self._hot = (
             self._ch_mode, self._const_bpp, self._bpp, self._wanted,
             self._demand, self._videos, self._channels, self._cwnd,
@@ -1374,12 +1395,23 @@ class TtiKernel:
             self._pl_wake_min = wake
         return True
 
-    def _step_fast(self) -> None:
-        """One fluid MAC step that runs only work with an observable effect.
+    def _step_fast(self, until: int) -> None:
+        """Fluid MAC steps that run only work with an observable effect.
 
-        This is ``Cell.step`` between its boundaries (:meth:`run` fires
-        due controllers before it and step hooks after it), with the
-        same phases in the same order: request issuance, claims, the
+        One call is a *span*: it does its set-up once, then loops the
+        per-step body from the cell's current step until ``until``
+        steps are done (:meth:`_advance` sets that to the next
+        controller's due step, or one step on when the cell has step
+        hooks).  It returns early after any step at which the run loop
+        has something to do: boundary code ran (``issue_requests`` or a
+        completion callback, either of which may invalidate the kernel
+        or swap the scheduler, whose per-rebuild values the set-up
+        holds), the step ran on the vector lane, or the cell can now
+        stride (no hot player, and an empty or stale active set).
+
+        Each step is ``Cell.step`` between its boundaries (:meth:`run`
+        fires due controllers before it and step hooks after it), with
+        the same phases in the same order: request issuance, claims, the
         GBR pass in bearer-priority order, the PF waterfill over the
         post-GBR residual demand, the PF average update, delivery with
         its completion callbacks, and playback.  Everything that runs
@@ -1405,326 +1437,339 @@ class TtiKernel:
         cell = self._cell
         step = cell._steps
         step_s = self._step_s
-        # repro.util.step_time, inlined (a call per step costs ~2%).
-        now = step * step_s
-        end = (step + 1) * step_s
         self._mirrors_hot = True
-        if self._pl_wake_min <= step:
-            self._pl_promote(step, now)
-        if self._act_stale:
-            self._act_rescan()
-
-        # --- Vector-lane entry/exit (hysteresis, see _VEC_MIN). ------
-        if self._vec_ok:
-            if self._vec_hot:
-                if len(self._act_slots) < _VEC_EXIT:
-                    self._vec_flush()
-            elif len(self._act_slots) >= _VEC_MIN:
-                self._vec_gather()
-
-        # --- Issue gate: hot players only (lazy ones provably skip). -
+        # Span set-up: only ``_rebuild`` rebinds these, and it cannot run
+        # before the span returns (boundary code ends the span).
         playing = PlaybackState.PLAYING
         finished = PlaybackState.FINISHED
         issue_info = self._issue_info
         pl_slot = self._pl_slot
         member = self._act_member
-        act_slots = self._act_slots
-        videos = self._videos
-        for j in self._pl_hot_list:
-            (player, buffer, start_s, threshold_s, can_abandon,
-             mpd) = issue_info[j]
-            state = player.state
-            if state is finished or now < start_s:
-                player._step_end_s = end
-                continue
-            pending = player._pending
-            active = player._active
-            called = False
-            if pending is not None:
-                if now >= pending.payload_starts_at_s:
-                    player.issue_requests(now)
-                    called = True
-            elif active is not None:
-                if (state is playing and active.ladder_index != 0
-                        and can_abandon):
-                    player.issue_requests(now)
-                    called = True
-            elif (buffer._level_s < threshold_s
-                  and mpd.has_segment(player._next_segment_index)):
-                player.issue_requests(now)
-                called = True
-            player._step_end_s = end
-            if called:
-                slot = pl_slot[j]
-                if videos[slot]._download_active and not member[slot]:
-                    self._idle_materialize(slot)
-                    member[slot] = True
-                    insort(act_slots, slot)
-                    if self._vec_hot:
-                        self._vec_join(slot)
+        vec_ok = self._vec_ok
+        tbl_slots = self._tbl_slots
+        (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
+         cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
+         alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
+         growth, rtt_over_step, cum_prbs, cum_bytes,
+         cum_seen) = self._hot
+        tbl_itbs = self._tbl_itbs
+        mode_pos = self._mode_pos
+        idle_sync = self._idle_sync
+        slot_pl = self._slot_pl
+        decay = step_s / self._sched_obj.pf.time_constant_s
+        if decay > 1.0:
+            decay = 1.0
+        one_minus = 1 - decay
+        while True:
+            # repro.util.step_time, inlined (a call per step costs ~2%).
+            now = step * step_s
+            end = (step + 1) * step_s
+            boundary = False
+            if self._pl_wake_min <= step:
+                self._pl_promote(step, now)
+            if self._act_stale:
+                self._act_rescan()
 
-        # --- Channel table refresh (shared by both MAC phases). ------
-        if self._tbl_slots:
-            bucket = math.floor(now / self._tbl_period)
-            if bucket != self._tbl_bucket:
-                self._fill_table(now, bucket)
-                self._tbl_bucket = bucket
-        if self._vec_hot:
-            # --- Vectorised MAC phase (claims .. completions). -------
-            self._vec_step(now, end, step_s)
-        else:
-            # --- Claims over the maybe-backlogged set. ---------------
-            (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
-             cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-             alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
-             growth, rtt_over_step, cum_prbs, cum_bytes,
-             cum_seen) = self._hot
-            tbl_itbs = self._tbl_itbs
-            mode_pos = self._mode_pos
-            gbr_slots = self._gbr_slots
-            # Without GBR bearers the PF candidate set can be built fused
-            # into the claims loop (phase 1 never touches demand); with
-            # them it is rebuilt after the GBR phase, like the reference.
-            fused_cand = not gbr_slots
-            step_act: list[int] = []
-            active_list: list[int] = []
-            cand: list[int] = []
-            weights: list[float] = []
-            caps: list[float] = []
-            pruned = False
-            for i in act_slots:
-                video = videos_h[i]
-                if video is None:
-                    backlog = math.inf
-                elif video._download_active:
-                    backlog = video._remaining_bytes
-                else:
-                    # Download finished or was abandoned: the slot reverts
-                    # to the object path's idle branch (wanted = 0, lazy
-                    # idle accumulation from this step onwards).  demand
-                    # is pinned to 0.0 so the GBR phase sees the object
-                    # path's value for slots the claims loop no longer
-                    # visits.
-                    wanted[i] = 0.0
-                    demand[i] = 0.0
-                    member[i] = False
-                    pruned = True
+            # --- Vector-lane entry/exit (hysteresis, see _VEC_MIN). ------
+            if vec_ok:
+                if self._vec_hot:
+                    if len(self._act_slots) < _VEC_EXIT:
+                        self._vec_flush()
+                elif len(self._act_slots) >= _VEC_MIN:
+                    self._vec_gather()
+
+            # --- Issue gate: hot players only (lazy ones provably skip). -
+            act_slots = self._act_slots
+            for j in self._pl_hot_list:
+                (player, buffer, start_s, threshold_s, can_abandon,
+                 mpd) = issue_info[j]
+                state = player.state
+                if state is finished or now < start_s:
+                    player._step_end_s = end
                     continue
-                step_act.append(i)
-                mode = modes[i]
-                if mode == _CONST:
-                    bytes_per_prb = const_bpp[i]
-                elif mode == _TABLE:
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
-                elif mode == _CYCLIC:
-                    # Inlined CyclicItbsChannel.itbs_at (same float
-                    # operations in the same order).
-                    pos = mode_pos[i]
-                    cycle = self._cyc_cycle[pos]
-                    phase = ((now + self._cyc_off[pos]) % cycle) / cycle
-                    if phase < 0.5:
-                        level = (self._cyc_lo[pos]
-                                 + 2.0 * phase * self._cyc_span[pos])
+                pending = player._pending
+                active = player._active
+                called = False
+                if pending is not None:
+                    if now >= pending.payload_starts_at_s:
+                        player.issue_requests(now)
+                        called = True
+                elif active is not None:
+                    if (state is playing and active.ladder_index != 0
+                            and can_abandon):
+                        player.issue_requests(now)
+                        called = True
+                elif (buffer._level_s < threshold_s
+                      and mpd.has_segment(player._next_segment_index)):
+                    player.issue_requests(now)
+                    called = True
+                player._step_end_s = end
+                if called:
+                    boundary = True
+                    slot = pl_slot[j]
+                    if videos_h[slot]._download_active and not member[slot]:
+                        self._idle_materialize(slot)
+                        member[slot] = True
+                        insort(act_slots, slot)
+                        if self._vec_hot:
+                            self._vec_join(slot)
+
+            # --- Channel table refresh (shared by both MAC phases). ------
+            if tbl_slots:
+                bucket = math.floor(now / self._tbl_period)
+                if bucket != self._tbl_bucket:
+                    self._fill_table(now, bucket)
+                    self._tbl_bucket = bucket
+            if self._vec_hot:
+                # --- Vectorised MAC phase (claims .. completions). -------
+                self._vec_step(now, end, step_s)
+            else:
+                # --- Claims over the maybe-backlogged set. ---------------
+                gbr_slots = self._gbr_slots
+                # Without GBR bearers the PF candidate set can be built fused
+                # into the claims loop (phase 1 never touches demand); with
+                # them it is rebuilt after the GBR phase, like the reference.
+                fused_cand = not gbr_slots
+                step_act: list[int] = []
+                active_list: list[int] = []
+                cand: list[int] = []
+                weights: list[float] = []
+                caps: list[float] = []
+                pruned = False
+                for i in act_slots:
+                    video = videos_h[i]
+                    if video is None:
+                        backlog = math.inf
+                    elif video._download_active:
+                        backlog = video._remaining_bytes
                     else:
-                        level = (self._cyc_hi[pos]
-                                 - 2.0 * (phase - 0.5) * self._cyc_span[pos])
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
-                else:  # _PLAIN: the base-class bytes_per_prb_at chain
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[
-                        validate_itbs(channels[i].itbs_at(now))]
-                bpp[i] = bytes_per_prb
-                wanted[i] = backlog
-                if backlog <= 0:
-                    flow_demand = 0.0
-                else:
-                    limit = cwnd[i] * step_over_rtt[i]
-                    flow_demand = backlog if backlog <= limit else limit
-                    cap = mbr_cap[i]
-                    if flow_demand > cap:
-                        flow_demand = cap
-                demand[i] = flow_demand
-                if flow_demand > 0:
-                    active_list.append(i)
-                    if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
-                        cand.append(i)
-                        achievable = (bytes_per_prb * 8) / step_s
-                        avg = pf_avg[i]
-                        weights.append(
-                            achievable / (avg if avg >= 1e3 else 1e3))
-                        caps.append(flow_demand / bytes_per_prb)
-            if pruned:
-                self._act_slots = [i for i in act_slots if member[i]]
-
-            # --- Phase 1: GBR guarantees in bearer-priority order. -------
-            # PrioritySetScheduler's phase 1, restricted to active bearer
-            # slots.  The restriction is exact: a bearer slot outside the
-            # active set has demand pinned to 0.0, so the full walk hits
-            # a no-op guard there — ``slot_bpp <= 0: continue`` or
-            # ``need <= 0: continue`` — never touching the budget or any
-            # per-slot state, and the budget-exhausted break still
-            # precedes the first grant-eligible slot.  Walking the active
-            # bearers in rank order therefore reproduces the full walk's
-            # grants and float sequence.
-            alloc_prbs[:] = zeros
-            alloc_bytes[:] = zeros
-            remaining_budget = self._budget
-            if gbr_slots:
-                gbr_rank = self._gbr_rank
-                gbr_rate = self._gbr_rate
-                gbr_act = [i for i in step_act if gbr_rank[i] >= 0]
-                if len(gbr_act) > 1:
-                    gbr_act.sort(key=gbr_rank.__getitem__)
-                for slot in gbr_act:
-                    slot_bpp = bpp[slot]
-                    if slot_bpp <= 0:
+                        # Download finished or was abandoned: the slot reverts
+                        # to the object path's idle branch (wanted = 0, lazy
+                        # idle accumulation from this step onwards).  demand
+                        # is pinned to 0.0 so the GBR phase sees the object
+                        # path's value for slots the claims loop no longer
+                        # visits.
+                        wanted[i] = 0.0
+                        demand[i] = 0.0
+                        member[i] = False
+                        pruned = True
                         continue
-                    if remaining_budget <= 1e-12:
-                        break
-                    slot_demand = demand[slot]
-                    guarantee = gbr_rate[slot]
-                    need = (guarantee if guarantee <= slot_demand
-                            else slot_demand)
-                    if need <= 0:
-                        continue
-                    prbs_needed = need / slot_bpp
-                    prbs = (prbs_needed if prbs_needed <= remaining_budget
-                            else remaining_budget)
-                    delivered = prbs * slot_bpp
-                    remaining_budget -= prbs
-                    demand[slot] = slot_demand - delivered
-                    alloc_prbs[slot] += prbs
-                    alloc_bytes[slot] += delivered
-
-            # --- Phase 2: proportional-fair waterfill of the rest. -------
-            if remaining_budget > 1e-12:
-                if not fused_cand:
-                    # Post-GBR candidate rebuild.  The object path scans
-                    # all claims; restricting to step_act is exact because
-                    # every other slot has demand pinned to 0.0
-                    # (rescan/prune).
-                    for i in step_act:
-                        if demand[i] > 1e-9 and bpp[i] > 0:
+                    step_act.append(i)
+                    mode = modes[i]
+                    if mode == _CONST:
+                        bytes_per_prb = const_bpp[i]
+                    elif mode == _TABLE:
+                        bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
+                    elif mode == _CYCLIC:
+                        # Inlined CyclicItbsChannel.itbs_at (same float
+                        # operations in the same order).
+                        pos = mode_pos[i]
+                        cycle = self._cyc_cycle[pos]
+                        phase = ((now + self._cyc_off[pos]) % cycle) / cycle
+                        if phase < 0.5:
+                            level = (self._cyc_lo[pos]
+                                     + 2.0 * phase * self._cyc_span[pos])
+                        else:
+                            level = (self._cyc_hi[pos]
+                                     - 2.0 * (phase - 0.5) * self._cyc_span[pos])
+                        bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
+                    else:  # _PLAIN: the base-class bytes_per_prb_at chain
+                        bytes_per_prb = BYTES_PER_PRB_TABLE[
+                            validate_itbs(channels[i].itbs_at(now))]
+                    bpp[i] = bytes_per_prb
+                    wanted[i] = backlog
+                    if backlog <= 0:
+                        flow_demand = 0.0
+                    else:
+                        limit = cwnd[i] * step_over_rtt[i]
+                        flow_demand = backlog if backlog <= limit else limit
+                        cap = mbr_cap[i]
+                        if flow_demand > cap:
+                            flow_demand = cap
+                    demand[i] = flow_demand
+                    if flow_demand > 0:
+                        active_list.append(i)
+                        if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
                             cand.append(i)
-                            achievable = (bpp[i] * 8) / step_s
+                            achievable = (bytes_per_prb * 8) / step_s
                             avg = pf_avg[i]
                             weights.append(
                                 achievable / (avg if avg >= 1e3 else 1e3))
-                            caps.append(demand[i] / bpp[i])
-                if len(cand) == 1:
-                    i = cand[0]
-                    weight = weights[0]
-                    share = remaining_budget * weight / weight
-                    prb_cap = caps[0]
-                    prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                    if prbs > 0:
-                        delivered = prbs * bpp[i]
-                        slot_demand = demand[i]
-                        if delivered > slot_demand:
-                            delivered = slot_demand
-                        demand[i] = slot_demand - delivered
-                        alloc_prbs[i] += prbs
-                        alloc_bytes[i] += delivered
-                elif cand:
-                    grants = _waterfill(remaining_budget, caps, weights)
-                    for g, i in enumerate(cand):
-                        prbs = grants[g]
-                        if prbs <= 0:
+                            caps.append(flow_demand / bytes_per_prb)
+                if pruned:
+                    self._act_slots = [i for i in act_slots if member[i]]
+
+                # --- Phase 1: GBR guarantees in bearer-priority order. -------
+                # PrioritySetScheduler's phase 1, restricted to active bearer
+                # slots.  The restriction is exact: a bearer slot outside the
+                # active set has demand pinned to 0.0, so the full walk hits
+                # a no-op guard there — ``slot_bpp <= 0: continue`` or
+                # ``need <= 0: continue`` — never touching the budget or any
+                # per-slot state, and the budget-exhausted break still
+                # precedes the first grant-eligible slot.  Walking the active
+                # bearers in rank order therefore reproduces the full walk's
+                # grants and float sequence.
+                alloc_prbs[:] = zeros
+                alloc_bytes[:] = zeros
+                remaining_budget = self._budget
+                if gbr_slots:
+                    gbr_rank = self._gbr_rank
+                    gbr_rate = self._gbr_rate
+                    gbr_act = [i for i in step_act if gbr_rank[i] >= 0]
+                    if len(gbr_act) > 1:
+                        gbr_act.sort(key=gbr_rank.__getitem__)
+                    for slot in gbr_act:
+                        slot_bpp = bpp[slot]
+                        if slot_bpp <= 0:
                             continue
-                        delivered = prbs * bpp[i]
-                        slot_demand = demand[i]
-                        if delivered > slot_demand:
-                            delivered = slot_demand
-                        demand[i] = slot_demand - delivered
-                        alloc_prbs[i] += prbs
-                        alloc_bytes[i] += delivered
+                        if remaining_budget <= 1e-12:
+                            break
+                        slot_demand = demand[slot]
+                        guarantee = gbr_rate[slot]
+                        need = (guarantee if guarantee <= slot_demand
+                                else slot_demand)
+                        if need <= 0:
+                            continue
+                        prbs_needed = need / slot_bpp
+                        prbs = (prbs_needed if prbs_needed <= remaining_budget
+                                else remaining_budget)
+                        delivered = prbs * slot_bpp
+                        remaining_budget -= prbs
+                        demand[slot] = slot_demand - delivered
+                        alloc_prbs[slot] += prbs
+                        alloc_bytes[slot] += delivered
 
-            # --- PF served-average EWMA (active flows only). -------------
-            decay = step_s / self._sched_obj.pf.time_constant_s
-            if decay > 1.0:
-                decay = 1.0
-            one_minus = 1 - decay
-            for i in active_list:
-                rate = (alloc_bytes[i] * 8) / step_s
-                pf_avg[i] = one_minus * pf_avg[i] + decay * rate
-                pf_seen[i] = True
+                # --- Phase 2: proportional-fair waterfill of the rest. -------
+                if remaining_budget > 1e-12:
+                    if not fused_cand:
+                        # Post-GBR candidate rebuild.  The object path scans
+                        # all claims; restricting to step_act is exact because
+                        # every other slot has demand pinned to 0.0
+                        # (rescan/prune).
+                        for i in step_act:
+                            if demand[i] > 1e-9 and bpp[i] > 0:
+                                cand.append(i)
+                                achievable = (bpp[i] * 8) / step_s
+                                avg = pf_avg[i]
+                                weights.append(
+                                    achievable / (avg if avg >= 1e3 else 1e3))
+                                caps.append(demand[i] / bpp[i])
+                    if len(cand) == 1:
+                        i = cand[0]
+                        weight = weights[0]
+                        share = remaining_budget * weight / weight
+                        prb_cap = caps[0]
+                        prbs = prb_cap if share >= prb_cap - 1e-12 else share
+                        if prbs > 0:
+                            delivered = prbs * bpp[i]
+                            slot_demand = demand[i]
+                            if delivered > slot_demand:
+                                delivered = slot_demand
+                            demand[i] = slot_demand - delivered
+                            alloc_prbs[i] += prbs
+                            alloc_bytes[i] += delivered
+                    elif cand:
+                        grants = _waterfill(remaining_budget, caps, weights)
+                        for g, i in enumerate(cand):
+                            prbs = grants[g]
+                            if prbs <= 0:
+                                continue
+                            delivered = prbs * bpp[i]
+                            slot_demand = demand[i]
+                            if delivered > slot_demand:
+                                delivered = slot_demand
+                            demand[i] = slot_demand - delivered
+                            alloc_prbs[i] += prbs
+                            alloc_bytes[i] += delivered
 
-            # --- Delivery over the backlogged slots. ---------------------
-            fast_steps = self._fast_steps
-            idle_sync = self._idle_sync
-            slot_pl = self._slot_pl
-            for i in step_act:
-                delivered = alloc_bytes[i]
-                prbs = alloc_prbs[i]
-                totals[i] += delivered
-                # wanted[i] > 0 here: FluidTcp.on_delivered's active branch.
-                idle[i] = 0.0
-                idle_sync[i] = fast_steps + 1
-                flow_wanted = wanted[i]
-                limit = cwnd[i] * step_over_rtt[i]
-                window_min = flow_wanted if flow_wanted <= limit else limit
-                if delivered >= window_min - 1e-9:
-                    grown = cwnd[i] * growth[i]
-                    cwnd[i] = grown if grown <= max_cwnd[i] else max_cwnd[i]
+                # --- PF served-average EWMA (active flows only). -------------
+                for i in active_list:
+                    rate = (alloc_bytes[i] * 8) / step_s
+                    pf_avg[i] = one_minus * pf_avg[i] + decay * rate
+                    pf_seen[i] = True
+
+                # --- Delivery over the backlogged slots. ---------------------
+                fast_steps = self._fast_steps
+                for i in step_act:
+                    delivered = alloc_bytes[i]
+                    prbs = alloc_prbs[i]
+                    totals[i] += delivered
+                    # wanted[i] > 0 here: FluidTcp.on_delivered's active branch.
+                    idle[i] = 0.0
+                    idle_sync[i] = fast_steps + 1
+                    flow_wanted = wanted[i]
+                    limit = cwnd[i] * step_over_rtt[i]
+                    window_min = flow_wanted if flow_wanted <= limit else limit
+                    if delivered >= window_min - 1e-9:
+                        grown = cwnd[i] * growth[i]
+                        cwnd[i] = grown if grown <= max_cwnd[i] else max_cwnd[i]
+                    else:
+                        granted_per_rtt = delivered * rtt_over_step[i]
+                        target = granted_per_rtt * 1.25
+                        if target < init_cwnd[i]:
+                            target = init_cwnd[i]
+                        cwnd[i] += 0.5 * (target - cwnd[i])
+                    if delivered > 0:
+                        video = videos_h[i]
+                        if video is not None and video._download_active:
+                            remaining = video._remaining_bytes - delivered
+                            if remaining <= 1e-6:
+                                # Completion boundary.  The callback chain
+                                # (HasPlayer._on_complete) reads only
+                                # player-local state, but the mirrors are
+                                # written back in full first so any observer
+                                # sees the object path's state; lazy playback
+                                # of the completing player is replayed before
+                                # the callback runs.
+                                self._flush_mirrors()
+                                pj = slot_pl[i]
+                                if pj is not None and self._pl_mode[pj] != _PL_HOT:
+                                    self._pl_materialize(pj, end)
+                                    insort(self._pl_hot_list, pj)
+                                video._remaining_bytes = 0.0
+                                video._download_active = False
+                                callback = video._completion_callback
+                                video._completion_callback = None
+                                if callback is not None:
+                                    callback()
+                                boundary = True
+                                if (not self._dirty and cell.registry.version
+                                        != self._reg_version):
+                                    self._resync_registry()
+                                self._mirrors_hot = True
+                            else:
+                                video._remaining_bytes = remaining
+                    if prbs > 0 or delivered > 0:
+                        # Inlined RbTraceModule.record.
+                        cum_prbs[i] += prbs
+                        cum_bytes[i] += delivered
+                        cum_seen[i] = True
+
+            # --- Playback: hot players only (lazy drains are replayed). --
+            hot = self._pl_hot_list
+            for j in hot:
+                info = issue_info[j]
+                player = info[0]
+                buffer = info[1]
+                level = buffer._level_s
+                if player.state is playing and level >= step_s:
+                    player._step_end_s = end
+                    buffer._level_s = level - step_s
+                    buffer._total_played_s += step_s
                 else:
-                    granted_per_rtt = delivered * rtt_over_step[i]
-                    target = granted_per_rtt * 1.25
-                    if target < init_cwnd[i]:
-                        target = init_cwnd[i]
-                    cwnd[i] += 0.5 * (target - cwnd[i])
-                if delivered > 0:
-                    video = videos_h[i]
-                    if video is not None and video._download_active:
-                        remaining = video._remaining_bytes - delivered
-                        if remaining <= 1e-6:
-                            # Completion boundary.  The callback chain
-                            # (HasPlayer._on_complete) reads only
-                            # player-local state, but the mirrors are
-                            # written back in full first so any observer
-                            # sees the object path's state; lazy playback
-                            # of the completing player is replayed before
-                            # the callback runs.
-                            self._flush_mirrors()
-                            pj = slot_pl[i]
-                            if pj is not None and self._pl_mode[pj] != _PL_HOT:
-                                self._pl_materialize(pj, end)
-                                insort(self._pl_hot_list, pj)
-                            video._remaining_bytes = 0.0
-                            video._download_active = False
-                            callback = video._completion_callback
-                            video._completion_callback = None
-                            if callback is not None:
-                                callback()
-                            if (not self._dirty and cell.registry.version
-                                    != self._reg_version):
-                                self._resync_registry()
-                            self._mirrors_hot = True
-                        else:
-                            video._remaining_bytes = remaining
-                if prbs > 0 or delivered > 0:
-                    # Inlined RbTraceModule.record.
-                    cum_prbs[i] += prbs
-                    cum_bytes[i] += delivered
-                    cum_seen[i] = True
+                    player.advance_playback(end, step_s)
 
-        # --- Playback: hot players only (lazy drains are replayed). --
-        hot = self._pl_hot_list
-        for j in hot:
-            info = issue_info[j]
-            player = info[0]
-            buffer = info[1]
-            level = buffer._level_s
-            if player.state is playing and level >= step_s:
-                player._step_end_s = end
-                buffer._level_s = level - step_s
-                buffer._total_played_s += step_s
-            else:
-                player.advance_playback(end, step_s)
-
-        cell._steps = step + 1
-        self._fast_steps += 1
-        if hot and self._lazy_ok:
-            self._pl_hot_list = [j for j in hot
-                                 if not self._pl_try_lazy(j, step + 1, end)]
+            step += 1
+            cell._steps = step
+            self._fast_steps += 1
+            if hot and self._lazy_ok:
+                self._pl_hot_list = [j for j in hot
+                                     if not self._pl_try_lazy(j, step, end)]
+            # --- Span end: ``until``, or an event _advance must see. -----
+            if (step >= until or boundary or self._vec_hot
+                    or (not self._pl_hot_list
+                        and (self._act_stale or not self._act_slots))):
+                return
 
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.

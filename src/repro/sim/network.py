@@ -59,11 +59,7 @@ import numpy as np
 from repro.core.batch import BatchBaiPlane
 from repro.core.controller import FlareSystem
 from repro.has.player import HasPlayer
-from repro.metrics.collector import (
-    CellReport,
-    MetricsSampler,
-    collect_cell_report,
-)
+from repro.metrics.collector import CellReport, collect_cell_report
 from repro.obs import events as obs_events
 from repro.obs import prof
 from repro.obs import telemetry as obs_telemetry
@@ -513,7 +509,6 @@ class BuiltCell:
 
     cell: Cell
     system: FlareSystem | None
-    sampler: MetricsSampler
     players: dict[int, HasPlayer] = field(default_factory=dict)
 
 
@@ -883,8 +878,7 @@ class NetworkShard:
     def reports(self, duration_s: float) -> dict[int, CellReport]:
         """Per-cell reports for every cell of the shard."""
         return {
-            cell_id: collect_cell_report(built.cell, built.sampler,
-                                         duration_s)
+            cell_id: collect_cell_report(built.cell, duration_s=duration_s)
             for cell_id, built in self._built.items()
         }
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.controller import FlareSystem
 from repro.has.mpd import SIMULATION_LADDER, MediaPresentation
-from repro.metrics.collector import MetricsSampler
 from repro.net.flows import UserEquipment
 from repro.phy.channel import FadingProcess
 from repro.phy.mobility import MobilityModel, RandomWaypointMobility
@@ -95,8 +94,7 @@ def build_metro_cell(plan: NetworkPlan, cell_id: int,
             cost_smoothing=0.1,
         )
         system.install(cell)
-    built = BuiltCell(cell=cell, system=system,
-                      sampler=MetricsSampler(interval_s=1.0))
+    built = BuiltCell(cell=cell, system=system)
     for ue_plan in plan.ues:
         if ue_plan.cell_id != cell_id:
             continue
@@ -117,7 +115,6 @@ def build_metro_cell(plan: NetworkPlan, cell_id: int,
                 ue, mpd, _client_abr(scheme, segment_s), config,
                 flow_id=ue_plan.flow_id)
         built.players[ue_plan.flow_id] = player
-    cell.add_controller(built.sampler)
     return built
 
 

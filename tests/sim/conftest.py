@@ -1,5 +1,7 @@
 """Shared fixtures for the simulator tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.kernel import TtiKernel
@@ -7,17 +9,20 @@ from repro.sim.kernel import TtiKernel
 
 @pytest.fixture
 def fused_calls(monkeypatch):
-    """Count ``TtiKernel._step_fast`` calls in this process.
+    """Count the fused steps ``TtiKernel._step_fast`` takes in this process.
 
-    The one-element list holds the count.  A run's skipped steps are
-    the steps its kernels completed minus the fused steps they took.
+    ``steps`` is the steps its calls advanced and ``calls`` the calls
+    themselves: one call runs a span of steps.  A run's skipped steps
+    are the steps its kernels completed minus the fused steps.
     """
-    calls = [0]
+    counts = SimpleNamespace(steps=0, calls=0)
     step_fast = TtiKernel._step_fast
 
-    def counting_step(kernel):
-        calls[0] += 1
-        step_fast(kernel)
+    def counting_span(kernel, until):
+        start = kernel._cell._steps
+        step_fast(kernel, until)
+        counts.calls += 1
+        counts.steps += kernel._cell._steps - start
 
-    monkeypatch.setattr(TtiKernel, "_step_fast", counting_step)
-    return calls
+    monkeypatch.setattr(TtiKernel, "_step_fast", counting_span)
+    return counts

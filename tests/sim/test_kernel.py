@@ -19,6 +19,8 @@ the reference discipline's agreement envelope.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import check as chk
 from repro.core.controller import FlareSystem
@@ -36,6 +38,7 @@ from repro.sim.network import PenaltyMap
 from repro.workload.metro import build_metro_cell, build_metro_plan
 from repro.workload.multicell import build_multicell_scenario
 from repro.workload.scenarios import (
+    ALL_SCHEMES,
     build_cell_scenario,
     build_testbed_scenario,
 )
@@ -138,55 +141,48 @@ class TestIdleStretches:
 
     @pytest.fixture(autouse=True)
     def _spy(self, fused_calls):
-        self.calls = fused_calls
+        self.fused = fused_calls
 
     def _compare(self, start, interval, duration, flare=False):
-        """Both paths' reports agree; returns (steps, fused calls)."""
+        """Both paths' reports agree; returns the kernel's steps."""
         cell, sampler = idle_start_cell(start, interval, flare)
         fast = run_report(cell, sampler, duration)
-        fast_steps = cell._kernel._fast_steps
-        calls = self.calls[0]
         with chk.checking():
-            cell, sampler = idle_start_cell(start, interval, flare)
-            slow = run_report(cell, sampler, duration)
+            ref, sampler = idle_start_cell(start, interval, flare)
+            slow = run_report(ref, sampler, duration)
         assert fast == slow
-        return fast_steps, calls
+        return cell._kernel._fast_steps
 
     def test_idle_prefix(self):
         # 6 s idle gap, 1 s sampler: the kernel completes all 600 steps
         # of the 12 s run but strides over idle ones between deadlines.
-        steps, calls = self._compare(6.0, 1.0, 12.0)
-        assert steps == 600
-        assert calls < steps
+        assert self._compare(6.0, 1.0, 12.0) == 600
+        assert self.fused.steps < 600
 
     def test_idle_prefix_with_flare(self):
         # The same with FLARE's 2 s BAI controller installed.
-        steps, calls = self._compare(6.0, 1.0, 12.0, flare=True)
-        assert steps == 600
-        assert calls < steps
+        assert self._compare(6.0, 1.0, 12.0, flare=True) == 600
+        assert self.fused.steps < 600
 
     def test_deadline_at_player_start(self):
         # The sampler's only deadline coincides with the player start:
         # the step covering both fires the sampler, then starts play.
-        steps, _ = self._compare(5.0, 5.0, 10.0)
-        assert steps > 0
+        assert self._compare(5.0, 5.0, 10.0) > 0
 
     def test_bai_edge(self):
         # FLARE's 2 s BAI controller fires at 2/4/... during the idle
         # stretch, at the same step as the object loop.
-        steps, _ = self._compare(5.0, 1.0, 12.0, flare=True)
-        assert steps > 0
+        assert self._compare(5.0, 1.0, 12.0, flare=True) > 0
 
     def test_deadline_every_step(self):
         # A controller due every single step: a boundary per step, so
-        # there is no step to stride over.
-        steps, calls = self._compare(2.0, 0.02, 4.0)
-        assert steps == calls == 200
+        # there is no step to stride over and every span is one step.
+        assert self._compare(2.0, 0.02, 4.0) == 200
+        assert self.fused.steps == self.fused.calls == 200
 
     def test_backlogged_from_start(self):
         # Starting at t=0 there is never an idle window.
-        steps, _ = self._compare(0.0, 1.0, 8.0)
-        assert steps > 0
+        assert self._compare(0.0, 1.0, 8.0) > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unprimed_table_channels(self, seed):
@@ -198,15 +194,114 @@ class TestIdleStretches:
 
         def report():
             built = build_metro_cell(plan, 0, PenaltyMap())
-            return run_report(built.cell, built.sampler, 60.0), built.cell
+            return run_report(built.cell, None, 60.0), built.cell
 
         fast, cell = report()
-        calls = self.calls[0]
         with chk.checked_run():
             slow, _ = report()
         assert fast == slow
         assert cell._kernel._fast_steps == 3000
-        assert calls < 3000
+        assert self.fused.steps < 3000
+
+
+# ----------------------------------------------------------------------
+# Fused spans, and randomized single cells
+# ----------------------------------------------------------------------
+class TestFusedSpans:
+    """One ``_step_fast`` call runs a span of boundary-free steps."""
+
+    def test_data_flow_cell_runs_spans(self, fused_calls):
+        # The backlogged data flow leaves no step to stride over, so
+        # every step is fused; between requests, completions and
+        # controller deadlines a call runs many of them.
+        run, _ = _testbed_run("festive", 1)
+        assert run.cell._kernel._fast_steps == fused_calls.steps == 1500
+        assert fused_calls.calls * 5 < fused_calls.steps
+
+    def test_step_hook_takes_one_step_per_call(self, fused_calls):
+        # A step hook is a boundary after every step.
+        def report():
+            cell, sampler = idle_start_cell(0.0, 1.0)
+            hook_times = []
+            cell.add_step_hook(hook_times.append)
+            return run_report(cell, sampler, 4.0), hook_times
+
+        fast, hook_times = report()
+        assert fused_calls.steps == fused_calls.calls == 200
+        with chk.checking():
+            slow, ref_times = report()
+        assert fast == slow
+        assert hook_times == ref_times
+
+    def test_topology_change_in_a_callback_ends_the_span(self, fused_calls):
+        # The first completed segment brings a data flow into the cell.
+        # The callback invalidates the kernel mid-span, so the span must
+        # hand back and the run loop rebuild before the next step.
+        class ArrivalOnFirstSegment(Festive):
+            def __init__(self, cell):
+                super().__init__()
+                self.cell = cell
+
+            def on_segment_complete(self, ctx, throughput_bps):
+                super().on_segment_complete(ctx, throughput_bps)
+                if self.cell is not None:
+                    self.cell.add_data_flow(
+                        UserEquipment(StaticItbsChannel(7)))
+                    self.cell = None
+
+        def report():
+            reset_entity_ids()
+            mpd = MediaPresentation(ladder=TESTBED_LADDER,
+                                    segment_duration_s=4.0)
+            cell = Cell(CellConfig(step_s=0.02))
+            player = cell.add_video_flow(
+                UserEquipment(StaticItbsChannel(7)), mpd,
+                ArrivalOnFirstSegment(cell),
+                PlayerConfig(request_threshold_s=12.0))
+            sampler = MetricsSampler(interval_s=1.0)
+            cell.add_controller(sampler)
+            return (run_report(cell, sampler, 12.0),
+                    ledgers(sampler, [player]), len(cell.data_flows()))
+
+        fast = report()
+        assert fused_calls.steps == 600
+        with chk.checking():
+            slow = report()
+        assert fast == slow
+        assert fast[2] == 1
+
+
+class TestRandomizedCells:
+    """Random single cells: the kernel == the sanitized object path.
+
+    Draws what the fixed matrix above hand-picks: every scheme, static
+    and mobile channels, 1-6 clients with or without a data flow, and
+    three step sizes, so spans, strides and lazy players meet
+    controller deadlines and request latencies at varied offsets.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(scheme=st.sampled_from(ALL_SCHEMES),
+           mobile=st.booleans(),
+           num_video=st.integers(1, 6),
+           num_data=st.integers(0, 1),
+           step_s=st.sampled_from([0.01, 0.02, 0.04]),
+           seed=st.integers(0, 2 ** 16))
+    def test_kernel_matches_object_path(self, scheme, mobile, num_video,
+                                        num_data, step_s, seed):
+        def run():
+            scenario = build_cell_scenario(
+                scheme, mobile=mobile, seed=seed, num_video=num_video,
+                num_data=num_data, duration_s=40.0, step_s=step_s)
+            return scenario, dump_cell_report(scenario.run())
+
+        with chk.checked_run():
+            ref, slow = run()
+        fast_run, fast = run()
+        assert fast_run.cell._kernel._fast_steps == round(40.0 / step_s)
+        assert fast == slow
+        assert (ledgers(fast_run.sampler, fast_run.players)
+                == ledgers(ref.sampler, ref.players))
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestDifferentialMatrix:
         with chk.checked_run():
             ref_net, ref = run_reports(plan, 30.0, lockstep=True)
         bat_net, batched = run_reports(plan, 30.0, shards=1)
-        fused = fused_calls[0]
+        fused = fused_calls.steps
         shard_net, sharded = run_reports(plan, 30.0, shards=2)
         assert bat_net.kernel_cell_runs > 0
         assert shard_net.kernel_cell_runs > 0
