@@ -116,7 +116,10 @@ class Algorithm1:
     # ------------------------------------------------------------------
     def state_of(self, flow_id: int) -> FlowState:
         """The persistent state of ``flow_id`` (created on first use)."""
-        return self._states.setdefault(flow_id, FlowState())
+        state = self._states.get(flow_id)
+        if state is None:
+            state = self._states[flow_id] = FlowState()
+        return state
 
     def forget(self, flow_id: int) -> None:
         """Drop state for a departed flow."""
@@ -131,20 +134,24 @@ class Algorithm1:
 
     # ------------------------------------------------------------------
     def constrain(self, spec: FlowSpec) -> FlowSpec:
-        """Fold the stability constraint into a flow's allowed range."""
+        """Fold the stability constraint into a flow's allowed range.
+
+        A spec whose range already stops within one step of the flow's
+        level comes back as it is (the OneAPI server builds its specs
+        that way).
+        """
         if not self.enforce_step_limit:
             return spec
-        state = self.state_of(spec.flow_id)
-        step_cap = state.level + 1
-        current_cap = spec.allowed_max_index()
-        new_cap = min(step_cap, current_cap)
+        step_cap = self.state_of(spec.flow_id).level + 1
+        if spec.allowed_max_index() <= step_cap:
+            return spec
         return FlowSpec(
             flow_id=spec.flow_id,
             ladder=spec.ladder,
             beta=spec.beta,
             theta_bps=spec.theta_bps,
             rbs_per_bps=spec.rbs_per_bps,
-            max_index=new_cap,
+            max_index=step_cap,
         )
 
     def run_bai(self, problem: ProblemSpec) -> BaiDecision:

@@ -156,14 +156,25 @@ class OneApiServer:
         return self.interval_s / (8.0 * smoothed)
 
     def build_problem(self, now_s: float, cell: Cell) -> ProblemSpec:
-        """Assemble this BAI's optimization instance from cell state."""
+        """Assemble this BAI's optimization instance from cell state.
+
+        Each flow's ``max_index`` already holds both caps: the client's
+        disclosed hints and, when the algorithm enforces it, the
+        one-step-up limit, so Algorithm 1 solves the specs built here.
+        """
         usage_report = cell.consume_usage_report(self)
+        algorithm = self.algorithm
+        step_limit = algorithm.enforce_step_limit
         specs: list[FlowSpec] = []
         for flow in cell.video_flows():
             plugin = self._plugins.get(flow.flow_id)
             if plugin is None:
                 continue  # a non-FLARE video flow: served as data
-            info = plugin.client_info()
+            max_index = plugin.max_index()
+            if step_limit:
+                step_cap = algorithm.state_of(flow.flow_id).level + 1
+                if step_cap < max_index:
+                    max_index = step_cap
             specs.append(FlowSpec(
                 flow_id=flow.flow_id,
                 ladder=plugin.ladder,
@@ -171,7 +182,7 @@ class OneApiServer:
                 theta_bps=flow.ue.theta_bps,
                 rbs_per_bps=self._cost_for_flow(
                     cell, flow, usage_report.get(flow.flow_id)),
-                max_index=info.max_index(plugin.ladder),
+                max_index=max_index,
             ))
         total_rbs = cell.prbs_per_second() * self.interval_s
         return ProblemSpec(

@@ -31,7 +31,9 @@ Two solvers are provided, mirroring the paper's evaluation:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.core.utility import data_utility, video_utility
@@ -189,6 +191,16 @@ class Solver:
         return solution
 
 
+#: Sentinel utility of a budget level no choice combination reaches.
+_UNREACHABLE = -1e18
+
+#: A DP step switches from the frontier to the numpy sweep over every
+#: budget level once frontier size x choices exceeds this: a frontier
+#: step costs about 0.3 us per (state, choice) pair, a numpy step 5-8 us
+#: per choice whatever the frontier, and they break even at 64-96 pairs.
+_DENSE_STEP_WORK = 64
+
+
 class ExactSolver(Solver):
     """Exact discrete solve via multiple-choice knapsack DP.
 
@@ -199,6 +211,17 @@ class ExactSolver(Solver):
     budget level ``q`` and keeps the best, which jointly optimises
     ``r`` (for a given RB usage, the optimal ``r`` is the smallest
     share covering it, since the data term decreases in ``r``).
+
+    The DP carries only the Pareto frontier of (budget, utility)
+    states: the levels whose utility exceeds that of every smaller
+    level.  A dominated state never lies on the backtracked path — any
+    extension of it is matched or beaten by the same extension of the
+    smaller level that dominates it, and the outer scan keeps the first
+    maximum — so the frontier DP backtracks the dense DP's choices bit
+    for bit.  Once a step's frontier size times its choice count
+    exceeds ``_DENSE_STEP_WORK`` (large cells, paper Figure 9), that
+    step and every later one run a numpy sweep over every budget level
+    instead, seeded with the frontier.
 
     Exactness is up to the quantisation: each choice's RB weight is
     rounded *up*, so the capacity constraint is never violated, and
@@ -222,7 +245,7 @@ class ExactSolver(Solver):
 
         Built with ``math.log`` (not ``np.log``) so each entry is the
         exact float the scalar scan would compute; the ``q == Q`` slot
-        is a placeholder the caller masks out (``log 0`` is undefined).
+        is a placeholder the callers skip (``log 0`` is undefined).
         """
         table = self._log_table
         if table is None:
@@ -241,111 +264,234 @@ class ExactSolver(Solver):
             return Solution(indices={}, rates_bps={}, r=r,
                             utility=_discrete_objective(problem, {}, r),
                             solve_time_s=prof.clock() - started)
-        quantum = problem.total_rbs / self.quanta
+        quanta = self.quanta
+        quantum = problem.total_rbs / quanta
 
-        # Per-flow choice lists: (weight_in_quanta, value, index).
-        choices: list[list[tuple[int, float, int]]] = []
+        # Every choice's weight in quanta comes first: an instance whose
+        # minimum rates cannot fit needs no utility at all.  Ladders
+        # ascend, so a flow's lightest choice is its index 0.
+        rates: list[tuple[float, ...]] = []
+        weights: list[list[int]] = []
+        min_weight_total = 0
         for flow in problem.flows:
-            options: list[tuple[int, float, int]] = []
-            for index in range(flow.allowed_max_index() + 1):
-                rate = flow.ladder.rate(index)
-                weight = int(math.ceil(flow.rbs_per_bps * rate / quantum))
-                options.append((weight, flow.utility(rate), index))
-            choices.append(options)
-
-        min_weight_total = sum(min(w for w, _, _ in opts) for opts in choices)
-        if min_weight_total > self.quanta:
+            flow_rates = flow.ladder.rates_bps[:flow.allowed_max_index() + 1]
+            rbs_per_bps = flow.rbs_per_bps
+            flow_weights = [int(math.ceil(rbs_per_bps * rate / quantum))
+                            for rate in flow_rates]
+            rates.append(flow_rates)
+            weights.append(flow_weights)
+            min_weight_total += flow_weights[0]
+        if min_weight_total > quanta:
             return _all_minimum_solution(problem, started)
 
-        neg_inf = -1e18
-        size = self.quanta + 1
-        # dp[q]: best video utility using exactly q quanta (or less,
-        # tracked per exact usage; unreachable states stay neg_inf).
-        # The per-choice relaxation runs through reused scratch buffers
-        # (``out=`` ufuncs + ``copyto``): same element values as the
-        # allocating ``dp + value`` / ``np.where`` formulation, without
-        # three fresh arrays per ladder choice.
-        dp = np.full(size, neg_inf)
-        dp[0] = 0.0
-        cand_buf = np.empty(size)
-        better = np.empty(size, dtype=bool)
-        parents: list[np.ndarray] = []
-        for options in choices:
-            ndp = np.full(size, neg_inf)
-            parent = np.full(size, -1, dtype=np.int64)
-            for choice_number, (weight, value, _) in enumerate(options):
-                if weight > self.quanta:
-                    continue
-                if weight == 0:
-                    candidate = np.add(dp, value, out=cand_buf)
-                else:
-                    cand_buf[:weight] = neg_inf
-                    np.add(dp[:size - weight], value,
-                           out=cand_buf[weight:])
-                    candidate = cand_buf
-                np.greater(candidate, ndp, out=better)
-                np.copyto(ndp, candidate, where=better)
-                parent[better] = choice_number
-            parents.append(parent)
-            dp = ndp
+        # The DP over flows.  ``parents`` keeps, per flow, what the
+        # backtrack needs: (frontier levels, choice per level) for a
+        # frontier step, the per-level choice array for a numpy step.
+        levels = [0]
+        utilities = [0.0]
+        dp: np.ndarray | None = None
+        parents: list[tuple[list[int], list[int]] | np.ndarray] = []
+        for flow, flow_rates, flow_weights in zip(
+                problem.flows, rates, weights):
+            beta = flow.beta
+            theta_bps = flow.theta_bps
+            # Inlined FlowSpec.utility (video_utility without its
+            # argument checks, which FlowSpec and the ladder enforce).
+            values = [beta * (1.0 - theta_bps / rate) for rate in flow_rates]
+            if dp is None and (len(levels) * len(flow_weights)
+                               > _DENSE_STEP_WORK):
+                dp = np.full(quanta + 1, _UNREACHABLE)
+                dp[levels] = utilities
+                scratch = np.empty(quanta + 1)
+                better = np.empty(quanta + 1, dtype=bool)
+            if dp is None:
+                levels, utilities, picks = self._frontier_step(
+                    levels, utilities, flow_weights, values)
+                parents.append((levels, picks))
+            else:
+                dp, parent = self._dense_step(dp, flow_weights, values,
+                                              scratch, better)
+                parents.append(parent)
 
-        # Outer scan over the quantised budget: pick the usage level q
-        # maximising video utility + data term at r = q/Q.  Vectorised,
-        # replicating the sequential scan bit-for-bit:
-        #  * ``maximum.accumulate`` is the running best (comparisons
-        #    only, no arithmetic);
-        #  * the running best's index follows the strict ``>`` update
-        #    rule — it moves only where dp strictly exceeds the prior
-        #    prefix max, so it is the forward-fill (``max.accumulate``
-        #    of positions) of those strict-increase points;
-        #  * the data term is ``run_max + n_alpha * log(1 - q/Q)`` with
-        #    the log table precomputed via ``math.log`` (identical
-        #    values, identical add/mul), its ``q == Q`` entry and every
-        #    unreachable prefix masked out exactly as the scan's
-        #    ``continue`` guards skip them;
-        #  * ``argmax`` keeps the first maximum, as strict ``>`` does.
+        if dp is None:
+            best_q = self._frontier_best(problem, levels, utilities)
+        else:
+            best_q = self._dense_best(problem, dp)
+        if best_q < 0:
+            return _all_minimum_solution(problem, started)
+
+        # Backtrack the DP to recover per-flow choices.
+        indices: dict[int, int] = {}
+        q = best_q
+        for flow, flow_weights, parent in zip(
+                reversed(problem.flows), reversed(weights), reversed(parents)):
+            if isinstance(parent, tuple):
+                frontier, picks = parent
+                choice_number = picks[bisect_left(frontier, q)]
+            else:
+                choice_number = int(parent[q])
+                if choice_number < 0:
+                    choice_number = 0  # unreachable in a feasible DP; be safe
+            indices[flow.flow_id] = choice_number
+            q -= flow_weights[choice_number]
+        rates_bps = {flow.flow_id: flow.ladder.rate(indices[flow.flow_id])
+                     for flow in problem.flows}
+        used_rbs = sum(flow.rbs_per_bps * rates_bps[flow.flow_id]
+                       for flow in problem.flows)
+        r = min(used_rbs / problem.total_rbs, 1.0)
+        return Solution(
+            indices=indices,
+            rates_bps=rates_bps,
+            continuous_rates_bps=dict(rates_bps),
+            r=r,
+            utility=_discrete_objective(problem, indices, r),
+            solve_time_s=prof.clock() - started,
+        )
+
+    def _frontier_step(self, levels: list[int], utilities: list[float],
+                       weights: list[int], values: list[float]
+                       ) -> tuple[list[int], list[float], list[int]]:
+        """One flow's DP step over the frontier ``(levels, utilities)``.
+
+        Returns the next frontier and the choice behind each of its
+        states.  The choices' shifted copies of the frontier are merged
+        in choice order, each into the frontier of the ones before it:
+        both are sorted by level, so one pass keeps each level's best
+        candidate (the earlier choice on a tie, as the dense sweep's
+        strict ``>`` in choice order does) and drops every level that
+        does not beat all smaller ones.
+        """
+        quanta = self.quanta
+        merged_levels: list[int] = []
+        merged_utilities: list[float] = []
+        picks: list[int] = []
+        for choice_number, weight in enumerate(weights):
+            value = values[choice_number]
+            shifted = bisect_right(levels, quanta - weight)
+            held = len(merged_levels)
+            next_levels: list[int] = []
+            next_utilities: list[float] = []
+            next_picks: list[int] = []
+            top = -math.inf
+            i = j = 0
+            while i < held or j < shifted:
+                if j == shifted or (i < held
+                                    and merged_levels[i] < levels[j] + weight):
+                    level = merged_levels[i]
+                    utility = merged_utilities[i]
+                    pick = picks[i]
+                    i += 1
+                else:
+                    level = levels[j] + weight
+                    utility = utilities[j] + value
+                    pick = choice_number
+                    if i < held and merged_levels[i] == level:
+                        # Same level: the earlier choice unless beaten.
+                        if merged_utilities[i] >= utility:
+                            utility = merged_utilities[i]
+                            pick = picks[i]
+                        i += 1
+                    j += 1
+                if utility > top:
+                    top = utility
+                    next_levels.append(level)
+                    next_utilities.append(utility)
+                    next_picks.append(pick)
+            merged_levels = next_levels
+            merged_utilities = next_utilities
+            picks = next_picks
+        return merged_levels, merged_utilities, picks
+
+    def _dense_step(self, dp: np.ndarray, weights: list[int],
+                    values: list[float], scratch: np.ndarray,
+                    better: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One flow's DP step as a numpy sweep over every budget level.
+
+        ``dp[q]`` is the best utility at exactly ``q`` quanta
+        (``_UNREACHABLE`` where no combination lands); the step returns
+        the next one and the choice behind each level.  ``scratch`` and
+        ``better`` are reused buffers of the same size.  Each relaxation
+        runs through ``out=`` ufuncs and ``copyto``: the same element
+        values as an allocating ``dp + value`` / ``np.where``
+        formulation, without fresh arrays per ladder choice.
+        """
+        size = self.quanta + 1
+        ndp = np.full(size, _UNREACHABLE)
+        parent = np.full(size, -1, dtype=np.int64)
+        for choice_number, weight in enumerate(weights):
+            if weight >= size:
+                break  # weights ascend with the ladder
+            if weight == 0:
+                candidate = np.add(dp, values[choice_number], out=scratch)
+            else:
+                scratch[:weight] = _UNREACHABLE
+                np.add(dp[:size - weight], values[choice_number],
+                       out=scratch[weight:])
+                candidate = scratch
+            np.greater(candidate, ndp, out=better)
+            np.copyto(ndp, candidate, where=better)
+            parent[better] = choice_number
+        return ndp, parent
+
+    def _frontier_best(self, problem: ProblemSpec, levels: list[int],
+                       utilities: list[float]) -> int:
+        """Budget level of the best objective on the final frontier.
+
+        Between two frontier levels the video utility is flat and the
+        data term falls, so the outer scan's first maximum is always a
+        frontier level.  Returns -1 when no level is admissible.
+        """
+        if problem.num_data_flows == 0:
+            return levels[-1]
+        n_alpha = problem.num_data_flows * problem.alpha
+        log_table = self._log_one_minus_r()
+        best_q = -1
+        best = -math.inf
+        for level, utility in zip(levels, utilities):
+            if level == self.quanta:
+                break  # r = 1 leaves the data flows nothing (log 0)
+            objective = utility + n_alpha * log_table.item(level)
+            if objective > best:
+                best = objective
+                best_q = level
+        return best_q
+
+    def _dense_best(self, problem: ProblemSpec, dp: np.ndarray) -> int:
+        """The outer scan of :meth:`_frontier_best` over a dense ``dp``.
+
+        Vectorised, replicating the sequential scan bit-for-bit:
+
+        * ``maximum.accumulate`` is the running best (comparisons
+          only, no arithmetic);
+        * the running best's index follows the strict ``>`` update
+          rule — it moves only where dp strictly exceeds the prior
+          prefix max, so it is the forward-fill (``max.accumulate`` of
+          positions) of those strict-increase points;
+        * the data term is ``run_max + n_alpha * log(1 - q/Q)`` with the
+          log table precomputed via ``math.log`` (identical values,
+          identical add/mul), its ``q == Q`` entry and every
+          unreachable prefix masked out exactly as the scan's guards
+          skip them;
+        * ``argmax`` keeps the first maximum, as strict ``>`` does.
+        """
+        quanta = self.quanta
         run_max = np.maximum.accumulate(dp)
-        positions = np.arange(size)
-        strict = np.empty(size, dtype=bool)
+        positions = np.arange(quanta + 1)
+        strict = np.empty(quanta + 1, dtype=bool)
         strict[0] = True
         np.greater(dp[1:], run_max[:-1], out=strict[1:])
         rbq = np.maximum.accumulate(np.where(strict, positions, 0))
         if problem.num_data_flows > 0:
             n_alpha = problem.num_data_flows * problem.alpha
             objective = run_max + n_alpha * self._log_one_minus_r()
-            objective[self.quanta] = -np.inf
+            objective[quanta] = -np.inf
         else:
             objective = run_max.copy()
-        objective[run_max <= neg_inf / 2] = -np.inf
+        objective[run_max <= _UNREACHABLE / 2] = -np.inf
         best = int(np.argmax(objective))
         if not np.isfinite(objective[best]):
-            return _all_minimum_solution(problem, started)
-        best_q = int(rbq[best])
-
-        # Backtrack the DP to recover per-flow choices.
-        indices: dict[int, int] = {}
-        q = best_q
-        for flow, options, parent in zip(
-                reversed(problem.flows), reversed(choices), reversed(parents)):
-            choice_number = int(parent[q])
-            if choice_number < 0:
-                choice_number = 0  # unreachable in a feasible DP; be safe
-            weight, _, index = options[choice_number]
-            indices[flow.flow_id] = index
-            q -= weight
-        rates = {flow.flow_id: flow.ladder.rate(indices[flow.flow_id])
-                 for flow in problem.flows}
-        used_rbs = sum(flow.rbs_per_bps * rates[flow.flow_id]
-                       for flow in problem.flows)
-        r = min(used_rbs / problem.total_rbs, 1.0)
-        return Solution(
-            indices=indices,
-            rates_bps=rates,
-            continuous_rates_bps=dict(rates),
-            r=r,
-            utility=_discrete_objective(problem, indices, r),
-            solve_time_s=prof.clock() - started,
-        )
+            return -1
+        return int(rbq[best])
 
 
 class RelaxedSolver(Solver):

@@ -46,11 +46,17 @@ class ClientInfo:
 
     def max_index(self, ladder: BitrateLadder) -> int:
         """Highest ladder index consistent with the disclosed hints."""
-        if self.skimming:
-            return 0
-        if self.max_bitrate_bps is None:
-            return len(ladder) - 1
-        return ladder.highest_at_most(self.max_bitrate_bps)
+        return _hinted_max_index(ladder, self.max_bitrate_bps, self.skimming)
+
+
+def _hinted_max_index(ladder: BitrateLadder, max_bitrate_bps: float | None,
+                      skimming: bool) -> int:
+    """Highest index of ``ladder`` that a cap and a skimming hint allow."""
+    if skimming:
+        return 0
+    if max_bitrate_bps is None:
+        return len(ladder) - 1
+    return ladder.highest_at_most(max_bitrate_bps)
 
 
 class FlarePlugin:
@@ -76,6 +82,15 @@ class FlarePlugin:
             max_bitrate_bps=self._max_bitrate_bps,
             skimming=self._skimming,
         )
+
+    def max_index(self) -> int:
+        """Highest ladder index the client's hints allow.
+
+        What ``client_info().max_index(ladder)`` reports, without
+        building the message: the OneAPI server reads it every BAI.
+        """
+        return _hinted_max_index(self.ladder, self._max_bitrate_bps,
+                                 self._skimming)
 
     def set_max_bitrate(self, max_bitrate_bps: float | None) -> None:
         """Update the client-side bitrate cap at the user's discretion."""

@@ -66,12 +66,14 @@ class BearerRegistry:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on every QoS mutation.
+        """Monotonic counter bumped whenever the QoS settings change.
 
-        Consumers that cache a derived view of the registry (the
-        vectorized TTI kernel mirrors GBR/MBR byte budgets into flat
-        arrays) compare this against their snapshot to know when to
-        refresh.
+        Registering or deregistering a bearer bumps it, and so does an
+        update that changes a bearer's GBR or MBR; an update that sets
+        the values already in place leaves it alone.  Consumers that
+        cache a derived view of the registry (the TTI kernel mirrors
+        GBR/MBR byte budgets into flat arrays) compare this against
+        their snapshot to know when to refresh.
         """
         return self._version
 
@@ -89,7 +91,10 @@ class BearerRegistry:
 
     def qos(self, flow_id: int) -> BearerQos:
         """QoS of ``flow_id`` (best-effort default if never registered)."""
-        return self._bearers.get(flow_id, BearerQos())
+        qos = self._bearers.get(flow_id)
+        if qos is None:
+            return BearerQos()
+        return qos
 
     def update_gbr(self, flow_id: int, gbr_bps: float,
                    mbr_bps: float | None = None,
@@ -97,7 +102,9 @@ class BearerRegistry:
         """Continuously retune a bearer's GBR (and optionally MBR).
 
         This is the femtocell's Continuous GBR Updater: unlike stock
-        LTE, the guarantee may change at any time.
+        LTE, the guarantee may change at any time.  An update that
+        changes nothing keeps the bearer and :attr:`version` as they
+        are (a traced run still records it).
 
         Raises:
             KeyError: if the flow was never registered.
@@ -121,12 +128,16 @@ class BearerRegistry:
                     f"mbr_bps ({effective_mbr}) must be >= gbr_bps "
                     f"({gbr_bps})"
                 )
-        qos = BearerQos.__new__(BearerQos)
-        qos.gbr_bps = gbr_bps
-        qos.mbr_bps = effective_mbr
-        qos.priority = current.priority
-        self._bearers[flow_id] = qos
-        self._version += 1
+        # Exact equality on purpose: only a bit-identical setting is
+        # a no-op for the scheduler.
+        if (gbr_bps != current.gbr_bps  # flarelint: disable=FL003
+                or effective_mbr != current.mbr_bps):  # flarelint: disable=FL003
+            qos = BearerQos.__new__(BearerQos)
+            qos.gbr_bps = gbr_bps
+            qos.mbr_bps = effective_mbr
+            qos.priority = current.priority
+            self._bearers[flow_id] = qos
+            self._version += 1
         if obs.TRACER is not None:
             obs.TRACER.emit(obs_events.GBR_UPDATE, time_s, flow=flow_id,
                             gbr_bps=gbr_bps, mbr_bps=mbr_bps)

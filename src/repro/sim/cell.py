@@ -242,9 +242,11 @@ class Cell:
         Its per-cell MAC state leaves with it — the scheduler's
         per-flow state, its RB/byte counters (its PRBs stay in the
         cell total) and every consumer's usage snapshot of it — so a
-        flow that returns starts afresh.
+        flow that returns starts afresh.  A flow removed in mid-step
+        (by a completion callback) gets nothing for the rest of the
+        step.
         """
-        self._invalidate_kernel()
+        self._kernel.release(flow_id)
         self._flows = [f for f in self._flows if f.flow_id != flow_id]
         self._players.pop(flow_id, None)
         self._ladders.pop(flow_id, None)
@@ -378,11 +380,18 @@ class Cell:
         step_bytes = 0.0
         if profiler is not None:
             profiler.begin("sim.deliver")
-        for flow in self._flows:
+        # A completion callback may remove flows (``remove_flow``
+        # rebinds ``_flows``): from its removal on a flow gets nothing.
+        flows = self._flows
+        for flow in flows:
+            if flows is not self._flows and flow not in self._flows:
+                continue
             allocation = allocations.get(flow.flow_id)
             delivered = allocation.bytes_delivered if allocation else 0.0
             prbs = allocation.prbs if allocation else 0.0
             flow.on_scheduled(delivered, step_s)
+            if flows is not self._flows and flow not in self._flows:
+                continue
             if prbs > 0 or delivered > 0:
                 self.trace.record(flow.flow_id, prbs, delivered)
                 if tracer is not None:

@@ -106,7 +106,7 @@ from repro.phy.channel import (
 )
 from repro.phy.tbs import BYTES_PER_PRB_TABLE, validate_itbs
 from repro.sim.engine import earliest_due
-from repro.util import require_positive, sequential_replay
+from repro.util import require_positive, sequential_replay, step_time
 
 if TYPE_CHECKING:
     from repro.sim.cell import Cell
@@ -254,6 +254,11 @@ class TtiKernel:
         self._sched_obj: Any = None
         self._failed_sched: Any = None
         self._reg_version = -1
+        # Slots whose flow left the cell since the last rebuild (see
+        # release); they get nothing more and are never written back.
+        self._gone: set[int] = set()
+        # The vector lane's completing slot while its callback runs.
+        self._vec_cursor = -1
         # Per-slot static structure (rebuilt on topology change).
         self._flows: list[Flow] = []
         self._flow_ids: list[int] = []
@@ -349,6 +354,9 @@ class TtiKernel:
         self._v_cp: Any = None         # trace: cumulative PRBs
         self._v_cb: Any = None         # trace: cumulative bytes
         self._v_cseen: Any = None
+        self._v_cp_prev: Any = None    # the same at the step's start
+        self._v_cb_prev: Any = None
+        self._v_cseen_prev: Any = None
         self._v_sor: Any = None        # step_s / rtt_s
         self._v_ros: Any = None        # rtt_s / step_s
         self._v_grow: Any = None
@@ -370,6 +378,62 @@ class TtiKernel:
     def invalidate(self) -> None:
         """Topology changed: rebuild mirrors at the next boundary."""
         self._dirty = True
+
+    def release(self, flow_id: int) -> None:
+        """A flow leaves the cell (``Cell.remove_flow``), maybe mid-step.
+
+        The mirrors rebuild at the next boundary, as for any topology
+        change.  Until then the flow's slot gets nothing: no delivery,
+        RB record, completion or playback for the rest of the step,
+        and no write-back at a later flush.  The cell retires the RB
+        counters right after this call, so the trace first gets them
+        as the object path has them at this point of the step, and a
+        lazily parked player first replays the steps it owes.
+
+        The flow object itself keeps what the last write-back gave it:
+        on the scalar lane the flush before the completion callback
+        (a lazily idle flow's TCP idle clock excepted), on the vector
+        lane, which writes back only at boundaries, the state the lane
+        took it over with.
+        """
+        self.invalidate()
+        if not self._ready or flow_id not in self._flow_ids:
+            return  # not mirrored: the objects hold everything
+        i = self._flow_ids.index(flow_id)
+        if i in self._gone:
+            return
+        self._gone.add(i)
+        if self._mirrors_hot:
+            # Only the vector lane runs callbacks unflushed.  Slots
+            # before the completing one were delivered earlier in the
+            # step; from it on, the object path has not recorded this
+            # step's grant yet.
+            cursor = self._vec_cursor
+            if self._vec_hot and (self._v_mask[i] or i == cursor):
+                self._v_mask[i] = False
+                done = i < cursor
+                prbs = float((self._v_cp if done else self._v_cp_prev)[i])
+                num_bytes = float(
+                    (self._v_cb if done else self._v_cb_prev)[i])
+                seen = bool(
+                    (self._v_cseen if done else self._v_cseen_prev)[i])
+            else:
+                prbs = self._cum_prbs[i]
+                num_bytes = self._cum_bytes[i]
+                seen = self._cum_seen[i]
+            if seen:
+                trace = self._cell.trace
+                trace._cumulative_prbs[flow_id] = prbs
+                trace._cumulative_bytes[flow_id] = num_bytes
+        j = self._slot_pl[i]
+        if j is not None:
+            if self._pl_mode[j] != _PL_HOT:
+                # Playback is a step's last phase: this step's is not
+                # owed.
+                self._pl_materialize(
+                    j, step_time(self._cell._steps + 1, self._step_s))
+            elif j in self._pl_hot_list:
+                self._pl_hot_list.remove(j)
 
     # ------------------------------------------------------------------
     # Public driving API (called by the cell)
@@ -521,7 +585,10 @@ class TtiKernel:
                 self._idle_materialize(i)
 
     def _flush_mirrors(self) -> None:
-        """The mirror write-back itself (callers drain lazy state)."""
+        """The mirror write-back itself (callers drain lazy state).
+
+        Slots whose flow left the cell are skipped.
+        """
         self._mirrors_hot = False
         cell = self._cell
         flows = self._flows
@@ -529,7 +596,10 @@ class TtiKernel:
         idle = self._idle
         totals = self._totals
         wanted = self._wanted
-        for i in range(self._n):
+        slots: Sequence[int] = range(self._n)
+        if self._gone:
+            slots = [i for i in slots if i not in self._gone]
+        for i in slots:
             flow = flows[i]
             flow.total_delivered_bytes = totals[i]
             # ``demand_bytes`` records the step's backlog on the flow;
@@ -545,13 +615,13 @@ class TtiKernel:
             pf_avg = self._pf_avg
             pf_seen = self._pf_seen
             flow_ids = self._flow_ids
-            for i in range(self._n):
+            for i in slots:
                 if pf_seen[i]:
                     averages[flow_ids[i]] = pf_avg[i]
         trace = cell.trace
         cum_seen = self._cum_seen
         flow_ids = self._flow_ids
-        for i in range(self._n):
+        for i in slots:
             if cum_seen[i]:
                 fid = flow_ids[i]
                 trace._cumulative_prbs[fid] = self._cum_prbs[i]
@@ -707,6 +777,7 @@ class TtiKernel:
         self._cum_seen = [False] * n
         self._dirty = False
         self._ready = True
+        self._gone = set()
         # Event-driven fast-step maps and state.
         self._fast_steps = 0
         self._act_stale = True
@@ -926,6 +997,9 @@ class TtiKernel:
         self._v_cp = npx.array(self._cum_prbs)
         self._v_cb = npx.array(self._cum_bytes)
         self._v_cseen = npx.array(self._cum_seen)
+        self._v_cp_prev = npx.empty_like(self._v_cp)
+        self._v_cb_prev = npx.empty_like(self._v_cb)
+        self._v_cseen_prev = npx.empty_like(self._v_cseen)
         self._v_sor = npx.array(self._step_over_rtt)
         self._v_ros = npx.array(self._rtt_over_step)
         self._v_grow = npx.array(self._growth)
@@ -1241,16 +1315,28 @@ class TtiKernel:
         self._s_spare = self._v_wanted
         self._v_wanted = backlog
         self._v_backlog = nb
-        self._v_cp += a_p
-        self._v_cb += a_b
-        self._v_cseen |= granted
+        # The RB counters alternate between two buffers, so the step's
+        # starting counts stay readable for ``release``.
+        cp = self._v_cp
+        cb = self._v_cb
+        cseen = self._v_cseen
+        self._v_cp = npx.add(cp, a_p, out=self._v_cp_prev)
+        self._v_cb = npx.add(cb, a_b, out=self._v_cb_prev)
+        self._v_cseen = npx.logical_or(cseen, granted,
+                                       out=self._v_cseen_prev)
+        self._v_cp_prev = cp
+        self._v_cb_prev = cb
+        self._v_cseen_prev = cseen
 
         # --- Completion boundaries (rare; ascending slot order). -----
         if bool(comp.any()):
             cell = self._cell
             slot_pl = self._slot_pl
             videos = self._videos
+            gone = self._gone
             for i in npx.nonzero(comp)[0].tolist():
+                if i in gone:
+                    continue  # removed by an earlier completion
                 self._v_backlog[i] = 0.0
                 self._vec_leave(i)
                 pj = slot_pl[i]
@@ -1263,7 +1349,9 @@ class TtiKernel:
                 callback = video._completion_callback
                 video._completion_callback = None
                 if callback is not None:
+                    self._vec_cursor = i
                     callback()
+                    self._vec_cursor = -1
                 if (not self._dirty
                         and cell.registry.version != self._reg_version):
                     self._resync_registry()
@@ -1690,7 +1778,10 @@ class TtiKernel:
 
                 # --- Delivery over the backlogged slots. ---------------------
                 fast_steps = self._fast_steps
+                gone = self._gone
                 for i in step_act:
+                    if gone and i in gone:
+                        continue  # removed by an earlier completion
                     delivered = alloc_bytes[i]
                     prbs = alloc_prbs[i]
                     totals[i] += delivered
@@ -1737,6 +1828,8 @@ class TtiKernel:
                                         != self._reg_version):
                                     self._resync_registry()
                                 self._mirrors_hot = True
+                                if gone and i in gone:
+                                    continue  # left in its own callback
                             else:
                                 video._remaining_bytes = remaining
                     if prbs > 0 or delivered > 0:

@@ -101,6 +101,21 @@ class TestOneApiServer:
         assert all(r.decision.indices[player.flow.flow_id] <= cap_index
                    for r in records)
 
+    def test_specs_carry_the_client_and_step_caps(self):
+        cell, flare, players, _ = build_flare_cell(num_video=3)
+        server = flare.server
+        capped, stepped, free = (p.flow.flow_id for p in players)
+        server.plugin_for(capped).set_max_bitrate(0.5e6)  # index 2
+        server.algorithm.state_of(capped).level = 4
+        server.algorithm.state_of(stepped).level = 1
+        server.algorithm.state_of(free).level = 5
+        problem = server.build_problem(0.0, cell)
+        assert {spec.flow_id: spec.max_index for spec in problem.flows} == {
+            capped: 2, stepped: 2, free: 5}
+        # Algorithm 1 solves these very specs.
+        assert all(server.algorithm.constrain(spec) is spec
+                   for spec in problem.flows)
+
     def test_no_plugins_no_records(self):
         cell = Cell(CellConfig())
         flare = FlareSystem()

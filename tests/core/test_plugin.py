@@ -72,6 +72,14 @@ class TestFlarePlugin:
         plugin.set_skimming(True)
         assert plugin.client_info().skimming
 
+    @pytest.mark.parametrize("cap, skimming", [
+        (None, False), (1.0e6, False), (50e3, False), (2.0e6, True)])
+    def test_max_index_is_the_disclosed_one(self, cap, skimming):
+        plugin = FlarePlugin(3, SIMULATION_LADDER, max_bitrate_bps=cap,
+                             skimming=skimming)
+        assert (plugin.max_index()
+                == plugin.client_info().max_index(SIMULATION_LADDER))
+
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
             FlarePlugin(3, SIMULATION_LADDER, max_bitrate_bps=0.0)

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.mac.gbr import BearerQos, BearerRegistry
+from repro.obs.events import GBR_UPDATE
+from repro.obs.tracer import tracing
 
 
 class TestBearerQos:
@@ -33,7 +35,14 @@ class TestBearerRegistry:
 
     def test_unknown_flow_is_best_effort(self):
         registry = BearerRegistry()
+        registry.register(1, BearerQos(gbr_bps=5e5))
+        default = registry.qos(42)
+        assert not default.is_gbr
+        assert default.mbr_bps is None
+        # A fresh default per call: changing one changes no other.
+        default.gbr_bps = 1e6
         assert not registry.qos(42).is_gbr
+        assert registry.qos(1).gbr_bps == 5e5
 
     def test_double_register_rejected(self):
         registry = BearerRegistry()
@@ -54,6 +63,25 @@ class TestBearerRegistry:
         registry.update_gbr(1, 2e6, mbr_bps=3e6, time_s=12.0)
         assert registry.qos(1).gbr_bps == 2e6
         assert registry.qos(1).mbr_bps == 3e6
+
+    def test_unchanged_update_keeps_bearer_and_version(self):
+        registry = BearerRegistry()
+        registry.register(1, BearerQos(gbr_bps=1e6, mbr_bps=4e6))
+        bearer = registry.qos(1)
+        version = registry.version
+        with tracing(ring=8) as tracer:
+            registry.update_gbr(1, 1e6, time_s=2.0)
+            registry.update_gbr(1, 1e6, mbr_bps=4e6, time_s=4.0)
+            events = tracer.ring().of_type(GBR_UPDATE)
+        assert registry.qos(1) is bearer
+        assert registry.version == version
+        # The Continuous GBR Updater still reports every update.
+        assert [event["t"] for event in events] == [2.0, 4.0]
+        registry.update_gbr(1, 2e6)
+        assert registry.version == version + 1
+        registry.update_gbr(1, 2e6, mbr_bps=5e6)
+        assert registry.version == version + 2
+        assert registry.qos(1).mbr_bps == 5e6
 
     def test_update_preserves_mbr_when_omitted(self):
         registry = BearerRegistry()

@@ -34,6 +34,7 @@ from repro.net.flows import UserEquipment, reset_entity_ids
 from repro.obs.tracer import tracing
 from repro.phy.channel import OutageChannel, StaticItbsChannel
 from repro.sim import Cell, CellConfig
+from repro.sim.kernel import TtiKernel
 from repro.sim.network import PenaltyMap
 from repro.workload.metro import build_metro_cell, build_metro_plan
 from repro.workload.multicell import build_multicell_scenario
@@ -269,6 +270,132 @@ class TestFusedSpans:
             slow = report()
         assert fast == slow
         assert fast[2] == 1
+
+
+class TestMidStepDeparture:
+    """A completion callback removes a flow in the middle of a step.
+
+    From its removal on the departed flow gets nothing on either path:
+    no delivery, RB record, completion or playback later in the step,
+    and nothing written back for it at any later boundary.
+    """
+
+    @staticmethod
+    def _run(leaving: str):
+        # One FESTIVE client whose first completed segment removes a
+        # flow: a data flow or a second client after it in slot order,
+        # or the completing client itself.
+        class DepartureOnFirstSegment(Festive):
+            def __init__(self, cell):
+                super().__init__()
+                self.cell = cell
+                self.flow_id = None
+
+            def on_segment_complete(self, ctx, throughput_bps):
+                super().on_segment_complete(ctx, throughput_bps)
+                if self.cell is not None:
+                    self.cell.remove_flow(self.flow_id)
+                    self.cell = None
+
+        reset_entity_ids()
+        mpd = MediaPresentation(ladder=TESTBED_LADDER,
+                                segment_duration_s=4.0)
+        cell = Cell(CellConfig(step_s=0.02))
+        abr = DepartureOnFirstSegment(cell)
+        config = PlayerConfig(request_threshold_s=12.0)
+        player = cell.add_video_flow(UserEquipment(StaticItbsChannel(7)),
+                                     mpd, abr, config)
+        players = [player]
+        if leaving == "data":
+            other = cell.add_data_flow(UserEquipment(StaticItbsChannel(9)))
+            abr.flow_id = other.flow_id
+        elif leaving == "video":
+            # A poorer channel: still downloading when it leaves.
+            other_player = cell.add_video_flow(
+                UserEquipment(StaticItbsChannel(2)), mpd, Festive(), config)
+            players.append(other_player)
+            abr.flow_id = other_player.flow.flow_id
+        else:
+            abr.flow_id = player.flow.flow_id
+        sampler = MetricsSampler(interval_s=1.0)
+        cell.add_controller(sampler)
+        report = run_report(cell, sampler, 12.0)
+        trace = cell.trace
+        departed = abr.flow_id
+        assert abr.cell is None  # the departure happened
+        return (report, ledgers(sampler, players),
+                trace.total_cumulative_prbs(),
+                departed in trace._cumulative_prbs,
+                departed in trace._cumulative_bytes,
+                departed in cell.scheduler.pf._avg_rate_bps)
+
+    @pytest.mark.parametrize("leaving", ["data", "video", "self"])
+    def test_departed_flow_gets_nothing(self, leaving, fused_calls):
+        with chk.checked_run():
+            slow = self._run(leaving)
+        fast = self._run(leaving)
+        assert fused_calls.steps > 0
+        assert fast == slow
+        assert fast[3:] == (False, False, False)
+
+    def test_vector_lane_departures(self, monkeypatch):
+        # 40 clients keep the vector lane hot.  Four of them remove
+        # flows at their completions: themselves, a later and an
+        # earlier client, the data flow and two clients in a row.  The
+        # departed flows' own objects are left out: the lane writes
+        # them back only at boundaries.
+        class Departures(Festive):
+            def __init__(self, cell):
+                super().__init__()
+                self.cell = cell
+                self.victims = []
+
+            def on_segment_complete(self, ctx, throughput_bps):
+                super().on_segment_complete(ctx, throughput_bps)
+                if self.victims:
+                    self.cell.remove_flow(self.victims.pop(0))
+
+        def run():
+            reset_entity_ids()
+            mpd = MediaPresentation(ladder=TESTBED_LADDER,
+                                    segment_duration_s=4.0)
+            cell = Cell(CellConfig(step_s=0.02))
+            abrs = [Departures(cell) if k % 10 == 3 else Festive()
+                    for k in range(40)]
+            players = [cell.add_video_flow(
+                UserEquipment(StaticItbsChannel(2 + k % 20)), mpd, abr,
+                PlayerConfig(request_threshold_s=12.0))
+                for k, abr in enumerate(abrs)]
+            data = cell.add_data_flow(UserEquipment(StaticItbsChannel(9)))
+            ids = [player.flow.flow_id for player in players]
+            abrs[3].victims = [ids[3]]
+            abrs[13].victims = [ids[35]]
+            abrs[23].victims = [ids[1], data.flow_id]
+            abrs[33].victims = [ids[39], ids[38]]
+            sampler = MetricsSampler(interval_s=1.0)
+            cell.add_controller(sampler)
+            report = run_report(cell, sampler, 30.0)
+            assert not any(abr.victims for abr in abrs[3::10])
+            live = [player for player in players
+                    if player.flow in cell.flows]
+            trace = cell.trace
+            return (report, ledgers(sampler, live),
+                    trace.total_cumulative_prbs(),
+                    sorted(trace._cumulative_prbs),
+                    sorted(cell.scheduler.pf._avg_rate_bps))
+
+        gathers = []
+        gather = TtiKernel._vec_gather
+        monkeypatch.setattr(
+            TtiKernel, "_vec_gather",
+            lambda kernel: gathers.append(1) or gather(kernel))
+        with chk.checked_run():
+            slow = run()
+        assert not gathers
+        fast = run()
+        assert gathers
+        assert fast == slow
+        assert len(fast[3]) == len(fast[4]) == 35
 
 
 class TestRandomizedCells:

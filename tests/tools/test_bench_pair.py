@@ -8,8 +8,9 @@ import pytest
 from tools.bench_pair import PAIRS, main
 
 #: The fake benchmark: identical in both checkouts, it prints the
-#: canned result of the checkout it runs in, writes the record the
-#: real benchmark writes, and logs the call next to the checkouts.
+#: canned result of the checkout it runs in (the n-th entry on its
+#: n-th run when the result is a list), writes the record the real
+#: benchmark writes, and logs the call next to the checkouts.
 STUB = '''\
 import argparse
 import json
@@ -20,9 +21,13 @@ for flag in ("--workload", "--seed", "--seconds", "--trace"):
     parser.add_argument(flag)
 args = parser.parse_args()
 root = Path.cwd()
+call = f"{root.name} {args.workload}"
 with open(root.parent / "calls.log", "a") as log:
-    log.write(f"{root.name} {args.workload}\\n")
+    log.write(call + "\\n")
 result = json.loads((root / "result.json").read_text())[args.workload]
+if isinstance(result, list):
+    calls = (root.parent / "calls.log").read_text().splitlines()
+    result = result[calls.count(call) - 1]
 record = root / ".perfbench" / f"{args.workload}-seed{args.seed}-trace0.json"
 record.parent.mkdir(exist_ok=True)
 record.write_text(json.dumps({"digest": result.pop("digest")}))
@@ -74,7 +79,8 @@ def test_equal_sides_pass_and_alternate_the_first_side(tmp_path, capsys):
     assert run_pair(tmp_path, {"w1": result(), "w2": result()}) == 0
     out = capsys.readouterr().out
     assert "bench-pair: OK" in out
-    assert "| w2 | sim_ue_s_per_s (client-s/s) | 1000 | 1000 | +0.0% |" in out
+    assert ("| w2 | sim_ue_s_per_s (client-s/s) | 1000 | 1000 | 0/3 | "
+            "+0.0% |") in out
     calls = (tmp_path / "calls.log").read_text().splitlines()
     assert len(calls) == 2 * 2 * PAIRS
     firsts = [calls[i].split()[0] for i in range(0, len(calls), 2)]
@@ -92,6 +98,19 @@ def test_slower_head_fails_naming_metric_and_workload(tmp_path, capsys):
     assert len(failures) == 1
     assert "w2: sim_ue_s_per_s" in failures[0]
     assert "30.0% worse" in failures[0]
+
+
+def test_pairs_won_count_each_pair_once(tmp_path, capsys):
+    # Equal medians, but the head won one pair of each metric: a tie
+    # counts for neither side, and lower is better for set-up time.
+    head = {"w1": [result(throughput=1100.0, setup_s=0.9),
+                   result(throughput=1000.0, setup_s=1.2),
+                   result(throughput=900.0, setup_s=1.0)]}
+    assert run_pair(tmp_path, head) == 0
+    out = capsys.readouterr().out
+    assert ("| w1 | sim_ue_s_per_s (client-s/s) | 1000 | 1000 | 1/3 | "
+            "+0.0% |") in out
+    assert "| w1 | setup_s (s) | 1 | 1 | 1/3 | +0.0% |" in out
 
 
 def test_slowdown_inside_the_bound_passes(tmp_path):

@@ -11,7 +11,8 @@ workload the tool runs ``BENCHMARK.json``'s command on both checkouts
 :data:`PAIRS` times at seed :data:`SEED` for ``run_seconds``,
 alternating which side runs first from one pair to the next.  It
 prints, per workload and end-to-end metric, each side's median over
-the pairs, the change and the metric's bound, as a markdown table.
+the pairs, how many pairs the head won (a tie counts for neither
+side), the change and the metric's bound, as a markdown table.
 
 Exit codes: ``0`` the head is within every bound; ``1`` on some
 workload an end-to-end metric's head median is worse than the base
@@ -179,7 +180,7 @@ def compare(config: dict[str, Any],
 
 def _metric_row(name: str, metric: dict[str, Any],
                 sides: dict[str, list[Run]], failures: list[str]) -> str:
-    """One end-to-end metric: medians, change, bound and verdict."""
+    """One end-to-end metric: medians, pairs won, change, bound, verdict."""
     key = metric["name"]
     medians: dict[str, float | None] = {}
     for side in SIDES:
@@ -189,18 +190,23 @@ def _metric_row(name: str, metric: dict[str, Any],
     base, head = medians["base"], medians["head"]
     bound = float(metric["bound"])
     label = f"{key} ({metric['unit']})"
+    pairs = [(b.metrics[key], h.metrics[key])
+             for b, h in zip(sides["base"], sides["head"])
+             if key in b.metrics and key in h.metrics]
+    higher = metric["better"] == "higher"
+    won = sum(h > b if higher else h < b for b, h in pairs)
+    won_cell = f"{won}/{len(pairs)}"
     if base is None or head is None:
-        return _row(name, label, _num(base), _num(head), "-",
+        return _row(name, label, _num(base), _num(head), won_cell, "-",
                     f"{bound:.0%}", "-")
     change = relative_change(base, head)
-    worse = (change < -bound if metric["better"] == "higher"
-             else change > bound)
+    worse = change < -bound if higher else change > bound
     if worse:
         failures.append(f"{name}: {key} head median {head:.6g} is "
                         f"{abs(change):.1%} worse than base {base:.6g} "
                         f"(bound {bound:.0%})")
-    return _row(name, label, _num(base), _num(head), f"{change:+.1%}",
-                f"{bound:.0%}", "WORSE" if worse else "ok")
+    return _row(name, label, _num(base), _num(head), won_cell,
+                f"{change:+.1%}", f"{bound:.0%}", "WORSE" if worse else "ok")
 
 
 def _session_rows(name: str, sides: dict[str, list[Run]],
@@ -225,12 +231,12 @@ def _session_rows(name: str, sides: dict[str, list[Run]],
                for runs in (base, head)]
     return [
         _row(name, "failed sessions", f"{base_failed}/{base_tried}",
-             f"{head_failed}/{head_tried}", "", "",
+             f"{head_failed}/{head_tried}", "", "", "",
              "WORSE" if more_failed else "ok"),
         _row(name, "correct runs", f"{base_correct}/{len(base)}",
-             f"{head_correct}/{len(head)}", "", "",
+             f"{head_correct}/{len(head)}", "", "", "",
              "ok" if head_correct == len(head) else "WORSE"),
-        _row(name, "digest", *digests, "", "",
+        _row(name, "digest", *digests, "", "", "",
              "same" if digests[0] == digests[1]
              else "differs (not gated)"),
     ]
@@ -265,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{PAIRS} pairs per workload, seed {SEED}, "
           f"{config['run_seconds']} s per run, {os.cpu_count()} CPUs.\n")
     print(_row("workload", "metric", "base median", "head median",
-               "change", "bound", "verdict"))
-    print("|---|---|---:|---:|---:|---:|---|")
+               "head won", "change", "bound", "verdict"))
+    print("|---|---|---:|---:|---:|---:|---:|---|")
     print("\n".join(rows))
     if failures:
         print("\n**bench-pair: FAIL**\n")
