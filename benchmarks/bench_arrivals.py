@@ -29,9 +29,9 @@ def test_arrival_refit(benchmark, output_dir):
     incumbents = [p.flow.flow_id for p in scenario.players]
 
     def mean_assigned_kbps(t0, t1, flow_ids):
-        values = [record.decision.rates_bps[f]
+        values = [flow.rate_bps
                   for record in records if t0 <= record.time_s <= t1
-                  for f in flow_ids if f in record.decision.rates_bps]
+                  for flow in record.flows if flow.flow_id in flow_ids]
         return sum(values) / len(values) / 1e3 if values else 0.0
 
     late_ids = [p.flow.flow_id for p in scenario.late_players()]
@@ -55,5 +55,5 @@ def test_arrival_refit(benchmark, output_dir):
     assert rebuffer < 5.0
     # Capacity holds at the end state.
     cell_capacity_bps = 50_000 * 35 * 8
-    total = sum(records[-1].decision.rates_bps.values())
+    total = sum(flow.rate_bps for flow in records[-1].flows)
     assert total <= cell_capacity_bps * 1.05

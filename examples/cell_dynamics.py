@@ -32,9 +32,9 @@ def arrivals_demo() -> None:
     incumbents = [p.flow.flow_id for p in scenario.players]
 
     def mean_assigned_kbps(t0, t1):
-        values = [record.decision.rates_bps[f]
+        values = [flow.rate_bps
                   for record in records if t0 <= record.time_s <= t1
-                  for f in incumbents if f in record.decision.rates_bps]
+                  for flow in record.flows if flow.flow_id in incumbents]
         return sum(values) / len(values) / 1e3
 
     print(f"incumbents' mean assigned bitrate 150-200 s: "

@@ -38,7 +38,7 @@ def main() -> None:
     last = records[-1]
     print(f"\nBAIs executed     : {len(records)}")
     print(f"last BAI at t={last.time_s:.0f}s assigned ladder indices "
-          f"{sorted(last.decision.indices.values())}")
+          f"{sorted(last.indices.values())}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from repro.core.algorithm1 import Algorithm1, BaiDecision, FlowState
 from repro.core.controller import FlareSystem, MultiCellOneApi, make_solver
-from repro.core.oneapi import BaiRecord, OneApiServer
+from repro.core.oneapi import BaiFlowRecord, BaiRecord, OneApiServer
 from repro.core.optimizer import (
     ExactSolver,
     FlowSpec,
@@ -26,6 +26,7 @@ __all__ = [
     "FlareSystem",
     "MultiCellOneApi",
     "make_solver",
+    "BaiFlowRecord",
     "BaiRecord",
     "OneApiServer",
     "ExactSolver",

@@ -15,8 +15,8 @@ Once per bitrate assignment interval (BAI) the server
    pins the player's next requests to the assigned index.
 
 The server is the only store of both: its bounded :attr:`records`
-ring keeps each BAI's decision, and its plugin registry
-(:meth:`plugin_for`) the live clients.
+ring keeps a compact row per BAI (:class:`BaiRecord`), and its plugin
+registry (:meth:`plugin_for`) the live clients.
 
 The server is an *interval controller* for
 :class:`repro.sim.cell.Cell` — the cell invokes :meth:`on_interval`
@@ -26,11 +26,10 @@ every ``interval_s`` (= BAI) seconds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import check as chk
-from repro.core.algorithm1 import Algorithm1, BaiDecision
+from repro.core.algorithm1 import Algorithm1
 from repro.core.optimizer import FlowSpec, ProblemSpec
 from repro.core.plugin import FlarePlugin
 from repro.obs import events as obs_events
@@ -44,14 +43,56 @@ if TYPE_CHECKING:
     from repro.sim.cell import Cell
 
 
-@dataclass(frozen=True)
-class BaiRecord:
-    """One BAI's audit entry: when it ran and what it decided."""
+class BaiFlowRecord(NamedTuple):
+    """One flow's line of a :class:`BaiRecord`."""
+
+    flow_id: int
+    recommended: int
+    enforced: int
+    rate_bps: float
+
+
+class BaiRecord(NamedTuple):
+    """One BAI's audit row: when it ran and what it decided.
+
+    A plain tuple, so the ring costs a few hundred bytes per BAI; the
+    full :class:`~repro.core.algorithm1.BaiDecision`, hysteresis
+    verdicts included, goes to the ``bai.solve`` trace event instead.
+
+    Attributes:
+        time_s: when the BAI ran.
+        num_data_flows: the PCRF's data-flow count ``n``.
+        r: the solver's RB share for video flows.
+        utility: the objective value at the discrete rates.
+        solve_time_s: wall-clock solver time.
+        feasible: False when even the minimum rates did not fit.
+        flows: per video flow, in problem order: the solver's
+            recommended index, the enforced (post-hysteresis) index
+            and the enforced rate.
+    """
 
     time_s: float
-    decision: BaiDecision
-    num_video_flows: int
     num_data_flows: int
+    r: float
+    utility: float
+    solve_time_s: float
+    feasible: bool
+    flows: tuple[BaiFlowRecord, ...]
+
+    @property
+    def num_video_flows(self) -> int:
+        """Video flows the BAI assigned."""
+        return len(self.flows)
+
+    @property
+    def indices(self) -> dict[int, int]:
+        """Enforced ladder index per flow."""
+        return {flow.flow_id: flow.enforced for flow in self.flows}
+
+    @property
+    def rates_bps(self) -> dict[int, float]:
+        """Enforced bitrate per flow."""
+        return {flow.flow_id: flow.rate_bps for flow in self.flows}
 
 
 class OneApiServer:
@@ -127,7 +168,7 @@ class OneApiServer:
 
     @property
     def records(self) -> tuple[BaiRecord, ...]:
-        """The most recent ``MAX_RECORDS`` BAI decisions, oldest first."""
+        """The most recent ``MAX_RECORDS`` BAI rows, oldest first."""
         return tuple(self._records)
 
     # ------------------------------------------------------------------
@@ -206,23 +247,26 @@ class OneApiServer:
         if not problem.flows:
             return
         decision = self.algorithm.run_bai(problem)
-        if chk.CHECKER is not None and decision.solution.feasible:
-            gbr_rbs = sum(spec.rbs_per_bps * decision.rates_bps[spec.flow_id]
+        solution = decision.solution
+        rates = decision.rates_bps
+        if chk.CHECKER is not None and solution.feasible:
+            gbr_rbs = sum(spec.rbs_per_bps * rates[spec.flow_id]
                           for spec in problem.flows)
             chk.CHECKER.check_gbr_capacity(now_s, gbr_rbs, problem.total_rbs)
+        recommended = solution.indices
+        flows: list[BaiFlowRecord] = []
         for flow_id, index in decision.indices.items():
+            rate = rates[flow_id]
             self._plugins[flow_id].assign(index)
             if self.enforce_gbr:
-                cell.registry.update_gbr(
-                    flow_id, decision.rates_bps[flow_id], time_s=now_s)
+                cell.registry.update_gbr(flow_id, rate, time_s=now_s)
+            flows.append(BaiFlowRecord(flow_id, recommended[flow_id], index,
+                                       rate))
         self._records.append(BaiRecord(
-            time_s=now_s,
-            decision=decision,
-            num_video_flows=len(problem.flows),
-            num_data_flows=problem.num_data_flows,
-        ))
+            now_s, problem.num_data_flows, solution.r, solution.utility,
+            solution.solve_time_s, solution.feasible, tuple(flows)))
         self.solve_count += 1
-        if not decision.solution.feasible:
+        if not solution.feasible:
             self.infeasible_count += 1
         holds = 0
         for verdict in decision.verdicts.values():
@@ -230,7 +274,6 @@ class OneApiServer:
                 holds += 1
         self.hold_count += holds
         if obs.TRACER is not None:
-            solution = decision.solution
             obs.TRACER.emit(
                 obs_events.BAI_SOLVE, now_s,
                 cell=cell.cell_id,
@@ -246,7 +289,7 @@ class OneApiServer:
                         "flow": verdict.flow_id,
                         "recommended": verdict.recommended,
                         "enforced": verdict.enforced,
-                        "rate_bps": decision.rates_bps[verdict.flow_id],
+                        "rate_bps": rates[verdict.flow_id],
                         "up_streak": verdict.up_streak,
                         "required_streak": verdict.required_streak,
                         "action": verdict.action,

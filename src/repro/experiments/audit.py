@@ -31,21 +31,20 @@ def dump_bai_log(server: OneApiServer, path: PathLike) -> pathlib.Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
         for record in server.records:
-            solution = record.decision.solution
             handle.write(json.dumps({
                 "time_s": round(record.time_s, 6),
                 "num_video_flows": record.num_video_flows,
                 "num_data_flows": record.num_data_flows,
-                "recommended": {str(k): v
-                                for k, v in solution.indices.items()},
-                "enforced": {str(k): v
-                             for k, v in record.decision.indices.items()},
-                "rates_bps": {str(k): v
-                              for k, v in record.decision.rates_bps.items()},
-                "r": round(solution.r, 6),
-                "utility": round(solution.utility, 6),
-                "solve_time_ms": round(solution.solve_time_s * 1e3, 4),
-                "feasible": solution.feasible,
+                "recommended": {str(flow.flow_id): flow.recommended
+                                for flow in record.flows},
+                "enforced": {str(flow.flow_id): flow.enforced
+                             for flow in record.flows},
+                "rates_bps": {str(flow.flow_id): flow.rate_bps
+                              for flow in record.flows},
+                "r": round(record.r, 6),
+                "utility": round(record.utility, 6),
+                "solve_time_ms": round(record.solve_time_s * 1e3, 4),
+                "feasible": record.feasible,
             }) + "\n")
     return path
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections.abc import Sequence
 
 import numpy as np
@@ -209,7 +210,9 @@ class FadingProcess:
         self._corr = shadowing_corr
         self._fast_std = fast_fading_std_db
         self._fast_corr = fast_fading_corr
-        self._samples: list[float] = []
+        # Packed doubles: 8 bytes a sample rather than a list slot and
+        # a float object, for a trace that grows for the whole run.
+        self._samples: array[float] = array("d")
         self._shadow_state = 0.0
         self._fast_state = 0.0
 

@@ -18,9 +18,11 @@ import pytest
 from repro import check as chk
 from repro.core.batch import BatchBaiPlane
 from repro.core.controller import FlareSystem
+from repro.experiments.audit import read_jsonl
 from repro.has.mpd import SIMULATION_LADDER, BitrateLadder, MediaPresentation
 from repro.has.player import PlayerConfig
 from repro.net.flows import UserEquipment
+from repro.obs.events import BAI_SOLVE
 from repro.obs.tracer import tracing
 from repro.phy.channel import CyclicItbsChannel, StaticItbsChannel
 from repro.sim.cell import Cell, CellConfig
@@ -72,7 +74,7 @@ def drive(cell, flare, duration_s, epoch_s=2.0, sweep=False, hooks=()):
 
 
 def bai_facts(flare):
-    """Every BAI's decision, minus wall-clock solve time and verdicts.
+    """Every BAI's row, minus wall-clock solve time.
 
     ``solve_time_s`` is a timer (excluded from byte-identity like the
     CellReport dump excludes it); verdicts are compared separately in
@@ -80,14 +82,13 @@ def bai_facts(flare):
     """
     facts = []
     for record in flare.server.records:
-        solution = record.decision.solution
         facts.append((
             record.time_s, record.num_video_flows, record.num_data_flows,
-            tuple(sorted(record.decision.indices.items())),
-            tuple(sorted(record.decision.rates_bps.items())),
-            tuple(sorted(solution.indices.items())),
-            tuple(sorted(solution.rates_bps.items())),
-            solution.r, solution.utility, solution.feasible,
+            tuple(sorted(record.indices.items())),
+            tuple(sorted(record.rates_bps.items())),
+            tuple(sorted((flow.flow_id, flow.recommended)
+                         for flow in record.flows)),
+            record.r, record.utility, record.feasible,
         ))
     return facts
 
@@ -220,19 +221,22 @@ class TestSingleCellDifferential:
         assert min(counts) < max(counts)  # churn actually happened
 
     def test_verdicts_identical_when_armed(self, tmp_path):
-        # With a tracer armed the verdict maps must match field for
-        # field (bai_facts leaves them out).
-        verdict_maps = []
+        # With a tracer armed the traced verdicts must match field for
+        # field (bai_facts leaves them out): every bai.solve event but
+        # its wall-clock solve time.
+        solves = []
         for sweep in (False, True):
             cell, flare, players = build_system()
-            with tracing(jsonl=str(tmp_path / f"t{sweep}.jsonl")):
+            path = tmp_path / f"t{sweep}.jsonl"
+            with tracing(jsonl=str(path)):
                 drive(cell, flare, 30.0, sweep=sweep)
-            verdict_maps.append([
-                dict(record.decision.verdicts)
-                for record in flare.server.records
-            ])
-        assert verdict_maps[0] == verdict_maps[1]
-        assert any(verdict_maps[0])  # verdicts actually materialized
+            events = [event for event in read_jsonl(path)
+                      if event["type"] == BAI_SOLVE]
+            for event in events:
+                del event["solve_s"]
+            solves.append(events)
+        assert solves[0] == solves[1]
+        assert any(event["flows"] for event in solves[0])
 
     def test_perturbed_batch_plane_is_detected(self, monkeypatch):
         """The differential harness has teeth.

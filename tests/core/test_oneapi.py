@@ -98,7 +98,7 @@ class TestOneApiServer:
         records = flare.server.records
         assert records
         cap_index = SIMULATION_LADDER.highest_at_most(0.5e6)
-        assert all(r.decision.indices[player.flow.flow_id] <= cap_index
+        assert all(r.indices[player.flow.flow_id] <= cap_index
                    for r in records)
 
     def test_specs_carry_the_client_and_step_caps(self):
@@ -130,7 +130,7 @@ class TestOneApiServer:
         flare.server.deregister_plugin(players[0].flow.flow_id)
         cell.run(8.0)
         last = flare.server.records[-1]
-        assert players[0].flow.flow_id not in last.decision.indices
+        assert players[0].flow.flow_id not in last.indices
 
     def test_validation(self):
         algorithm = Algorithm1(ExactSolver())
@@ -198,7 +198,7 @@ class TestCoordinationEndToEnd:
             # Every downloaded segment after the first BAI matches some
             # assignment that was in force.
             assigned_rates = {
-                SIMULATION_LADDER.rate(r.decision.indices[player.flow.flow_id])
+                SIMULATION_LADDER.rate(r.indices[player.flow.flow_id])
                 for r in records}
             late_segments = [r for r in player.log.records
                              if r.request_time_s > 4.0]

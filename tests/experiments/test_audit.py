@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.algorithm1 import Algorithm1
 from repro.experiments.audit import (
     dump_bai_log,
     dump_segment_log,
     read_jsonl,
 )
+from repro.workload.dynamics import build_arrival_scenario
 from repro.workload.scenarios import build_testbed_scenario
 
 
@@ -43,7 +45,45 @@ class TestBaiLog:
         events = list(read_jsonl(path))
         last_record = server.records[-1]
         assert events[-1]["enforced"] == {
-            str(k): v for k, v in last_record.decision.indices.items()}
+            str(k): v for k, v in last_record.indices.items()}
+
+    def test_lines_match_every_decision(self, monkeypatch, tmp_path):
+        # Twelve clients join three on a weak cell, so the log holds
+        # feasible and infeasible BAIs, holds and a changing flow count;
+        # each line must say what Algorithm 1 returned for its BAI.
+        decisions = []
+        run_bai = Algorithm1.run_bai
+
+        def capture(algorithm, problem):
+            decision = run_bai(algorithm, problem)
+            decisions.append((problem, decision))
+            return decision
+
+        monkeypatch.setattr(Algorithm1, "run_bai", capture)
+        scenario = build_arrival_scenario(
+            initial_clients=3, late_clients=12, arrival_time_s=40.0,
+            duration_s=100.0, itbs=1, seed=3)
+        scenario.run()
+        path = dump_bai_log(scenario.flare.server, tmp_path / "bai.jsonl")
+        events = list(read_jsonl(path))
+        assert len(events) == len(decisions)
+        for event, (problem, decision) in zip(events, decisions):
+            solution = decision.solution
+            assert event["num_video_flows"] == len(problem.flows)
+            assert event["num_data_flows"] == problem.num_data_flows
+            assert event["recommended"] == {
+                str(k): v for k, v in solution.indices.items()}
+            assert event["enforced"] == {
+                str(k): v for k, v in decision.indices.items()}
+            assert event["rates_bps"] == {
+                str(k): v for k, v in decision.rates_bps.items()}
+            assert event["r"] == round(solution.r, 6)
+            assert event["utility"] == round(solution.utility, 6)
+            assert event["feasible"] is solution.feasible
+        assert {event["num_video_flows"] for event in events} == {3, 15}
+        assert {event["feasible"] for event in events} == {True, False}
+        assert any(event["recommended"] != event["enforced"]
+                   for event in events)
 
 
 class TestSegmentLog:

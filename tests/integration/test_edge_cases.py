@@ -103,7 +103,7 @@ class TestFlowRemovalMidRun:
         flare.server.deregister_plugin(gone)
         cell.run(60.0)
         last = flare.server.records[-1]
-        assert gone not in last.decision.indices
+        assert gone not in last.indices
         assert len(players[1].log) > 5
 
 

@@ -34,7 +34,7 @@ class TestFlareCoordination:
     def test_gbr_tracks_assignments(self):
         scenario = build_testbed_scenario("flare", duration_s=120.0)
         scenario.run()
-        last = scenario.flare.server.records[-1].decision
+        last = scenario.flare.server.records[-1]
         # Final GBR of each video flow equals its final assignment.
         for player in scenario.players:
             flow_id = player.flow.flow_id

@@ -431,6 +431,49 @@ class TestRandomizedCells:
                 == ledgers(ref.sampler, ref.players))
 
 
+class TestRandomizedDenseCells:
+    """Random crowded cells: the vector lane == the sanitized object path.
+
+    The lane enters at ``_VEC_MIN`` active transfers, which the sibling
+    harness's 1-6 clients never reach.  Here 24-40 clients, each on a
+    static channel of its own iTbs in the testbed's 1-12 sweep range,
+    crowd one cell, so the lane engages, exits and re-enters as
+    transfers start and finish.  (On iTbs 20 channels, 24 FLARE
+    clients finish their downloads too fast to ever enter it.)
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(scheme=st.sampled_from(ALL_SCHEMES),
+           itbs=st.lists(st.integers(1, 12), min_size=24, max_size=40),
+           num_data=st.integers(0, 1),
+           step_s=st.sampled_from([0.01, 0.02, 0.04]),
+           seed=st.integers(0, 2 ** 16))
+    def test_lane_matches_object_path(self, scheme, itbs, num_data, step_s,
+                                      seed):
+        def run():
+            scenario = build_testbed_scenario(
+                scheme, seed=seed, num_video=len(itbs), num_data=num_data,
+                duration_s=20.0, step_s=step_s)
+            for player, value in zip(scenario.players, itbs):
+                player.flow.ue.channel = StaticItbsChannel(value)
+            return scenario, dump_cell_report(scenario.run())
+
+        with chk.checked_run():
+            ref, slow = run()
+        lane_steps = []
+        vec_step = TtiKernel._vec_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TtiKernel, "_vec_step",
+                          lambda kernel, *args: lane_steps.append(1)
+                          or vec_step(kernel, *args))
+            fast_run, fast = run()
+        assert fast_run.cell._kernel._fast_steps == round(20.0 / step_s)
+        assert lane_steps
+        assert fast == slow
+        assert (ledgers(fast_run.sampler, fast_run.players)
+                == ledgers(ref.sampler, ref.players))
+
+
 # ----------------------------------------------------------------------
 # Per-TTI reference scheduler
 # ----------------------------------------------------------------------

@@ -153,3 +153,48 @@ def test_unusable_benchmark_json_is_bad_input(tmp_path, broken):
     head = checkout(tmp_path, "head", {"w1": result()})
     (tmp_path / "head" / "BENCHMARK.json").write_text(broken)
     assert main([base, head]) == 2
+
+
+def test_json_record_holds_the_table_and_the_raw_runs(tmp_path, capsys):
+    head = {"w1": [result(throughput=1100.0, digest="h1"),
+                   result(throughput=700.0, failed=2, digest="h2"),
+                   result(throughput=900.0, digest="h1")]}
+    out_path = tmp_path / "records" / "pairs.json"
+    assert main([checkout(tmp_path, "base", {"w1": result()}),
+                 checkout(tmp_path, "head", head),
+                 "--json", str(out_path)]) == 1
+    record = json.loads(out_path.read_text())
+    assert "\n".join(record["table"]) in capsys.readouterr().out
+    assert len(record["table"]) == 2 + 2 + 3
+    assert record["seed"] == 0
+    assert record["pairs"] == PAIRS
+    assert record["cpu_count"] >= 1
+    assert record["python"].count(".") == 2
+    assert record["verdict"] == "FAIL"
+    assert record["failures"] == ["w1: head failed 2 of 300 sessions, "
+                                  "base 0 of 300"]
+    w1 = record["workloads"]["w1"]
+    throughput = w1["metrics"]["sim_ue_s_per_s"]
+    assert throughput["base"] == [1000.0] * PAIRS
+    assert throughput["head"] == [1100.0, 700.0, 900.0]
+    assert throughput["base_median"] == 1000.0
+    assert throughput["head_median"] == 900.0
+    assert throughput["head_won"] == 1
+    assert throughput["pairs"] == PAIRS
+    assert throughput["change"] == pytest.approx(-0.1)
+    assert throughput["bound"] == 0.25
+    assert throughput["better"] == "higher"
+    assert throughput["verdict"] == "ok"
+    assert w1["head"]["digest"] == ["h1", "h2", "h1"]
+    assert w1["head"]["failed"] == [0, 2, 0]
+    assert w1["head"]["attempted"] == [100] * PAIRS
+    assert w1["base"]["digest"] == ["d1gest"] * PAIRS
+    assert w1["base"]["correct"] == [True] * PAIRS
+
+
+def test_pairs_option_sets_the_run_count(tmp_path, capsys):
+    assert main([checkout(tmp_path, "base", {"w1": result()}),
+                 checkout(tmp_path, "head", {"w1": result()}),
+                 "--pairs", "1"]) == 0
+    assert len((tmp_path / "calls.log").read_text().splitlines()) == 2
+    assert "1 pairs per workload" in capsys.readouterr().out

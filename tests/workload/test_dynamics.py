@@ -64,9 +64,9 @@ class TestArrivalScenario:
             values = []
             for record in records:
                 if t0 <= record.time_s <= t1:
-                    values.extend(record.decision.rates_bps[f]
+                    values.extend(record.rates_bps[f]
                                   for f in incumbents
-                                  if f in record.decision.rates_bps)
+                                  if f in record.rates_bps)
             return sum(values) / len(values)
 
         before = mean_assigned(150.0, 200.0)
@@ -77,7 +77,7 @@ class TestArrivalScenario:
         # Total assigned rate never exceeds what the cell can carry.
         cell_capacity_bps = 50_000 * 35 * 8  # iTbs 15: 35 B/PRB
         last = finished.flare.server.records[-1]
-        total = sum(last.decision.rates_bps.values())
+        total = sum(last.rates_bps.values())
         assert total <= cell_capacity_bps * 1.05
 
     def test_pcrf_sees_arrivals(self, finished):

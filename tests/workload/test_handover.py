@@ -85,12 +85,12 @@ class TestMigration:
         assert sys1.plugin_for(flow_id).assigned_index is not None
         late_assignments = [r.time_s for r in sys1.server.records
                             if r.time_s > 40.0
-                            and flow_id in r.decision.indices]
+                            and flow_id in r.indices]
         assert late_assignments
         # ...and the source cell's stopped deciding for it.
         sys0 = scenario.oneapi.system_for(scenario.cells[0])
         last_source = sys0.server.records[-1]
-        assert player.flow.flow_id not in last_source.decision.indices
+        assert player.flow.flow_id not in last_source.indices
 
     def test_migrating_unknown_flow_rejected(self, two_cells):
         scenario = two_cells

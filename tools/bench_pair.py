@@ -2,17 +2,22 @@
 
 Usage::
 
-    python tools/bench_pair.py BASE HEAD
+    python tools/bench_pair.py BASE HEAD [--pairs N] [--json PATH]
 
 BASE and HEAD are two checkouts of the repository that carry the same
 benchmark: ``BENCHMARK.json`` and every directory its ``paths`` lists
 must be byte-identical, so only the code under test differs.  For each
 workload the tool runs ``BENCHMARK.json``'s command on both checkouts
-:data:`PAIRS` times at seed :data:`SEED` for ``run_seconds``,
-alternating which side runs first from one pair to the next.  It
-prints, per workload and end-to-end metric, each side's median over
-the pairs, how many pairs the head won (a tie counts for neither
-side), the change and the metric's bound, as a markdown table.
+``--pairs`` times (:data:`PAIRS` by default) at seed :data:`SEED` for
+``run_seconds``, alternating which side runs first from one pair to
+the next.  It prints, per workload and end-to-end metric, each side's
+median over the pairs, how many pairs the head won (a tie counts for
+neither side), the change and the metric's bound, as a markdown
+table.  With ``--json PATH`` it also writes that table and the raw
+runs to PATH: per workload and metric each side's values in pair
+order, the medians, pairs won, change, bound and verdict; each run's
+digest and failed and attempted sessions; the host's CPU count, the
+Python version and the seed.
 
 Exit codes: ``0`` the head is within every bound; ``1`` on some
 workload an end-to-end metric's head median is worse than the base
@@ -29,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -36,7 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-#: Pairs of runs per workload.
+#: Pairs of runs per workload unless ``--pairs`` says otherwise: what
+#: CI's time budget allows.  A claimed gain needs at least 10.
 PAIRS = 3
 
 #: Workload seed of every run.
@@ -139,19 +146,19 @@ def run_once(checkout: Path, config: dict[str, Any],
     return Run(bool(result["correct"]), attempted, failed, metrics, digest)
 
 
-def run_pairs(checkouts: dict[str, Path],
-              config: dict[str, Any]) -> dict[str, dict[str, list[Run]]]:
+def run_pairs(checkouts: dict[str, Path], config: dict[str, Any],
+              pairs: int = PAIRS) -> dict[str, dict[str, list[Run]]]:
     """workload -> side -> runs, alternating the side that goes first."""
     runs: dict[str, dict[str, list[Run]]] = {}
     turn = 0
     for workload in config["workloads"]:
         name = workload["name"]
         runs[name] = {side: [] for side in SIDES}
-        for pair in range(1, PAIRS + 1):
+        for pair in range(1, pairs + 1):
             order = SIDES if turn % 2 == 0 else SIDES[::-1]
             turn += 1
             for side in order:
-                print(f"bench-pair: {name} pair {pair}/{PAIRS}: {side}",
+                print(f"bench-pair: {name} pair {pair}/{pairs}: {side}",
                       file=sys.stderr, flush=True)
                 runs[name][side].append(
                     run_once(checkouts[side], config, name))
@@ -167,46 +174,72 @@ def relative_change(base: float, head: float) -> float:
 
 def compare(config: dict[str, Any],
             runs: dict[str, dict[str, list[Run]]]
-            ) -> tuple[list[str], list[str]]:
-    """The markdown table rows and the reasons the head fails."""
+            ) -> tuple[list[str], list[str], dict[str, Any]]:
+    """The markdown table rows, the reasons the head fails, and the
+    per-workload record of runs and verdicts."""
     rows: list[str] = []
     failures: list[str] = []
+    record: dict[str, Any] = {}
     for name, sides in runs.items():
-        for metric in config["end_to_end"]:
-            rows.append(_metric_row(name, metric, sides, failures))
+        metrics = {metric["name"]: _metric_entry(metric, sides)
+                   for metric in config["end_to_end"]}
+        for key, entry in metrics.items():
+            rows.append(_metric_row(name, key, entry, failures))
         rows += _session_rows(name, sides, failures)
-    return rows, failures
+        record[name] = {
+            "metrics": metrics,
+            **{side: {"digest": [run.digest for run in sides[side]],
+                      "failed": [run.failed for run in sides[side]],
+                      "attempted": [run.attempted for run in sides[side]],
+                      "correct": [run.correct for run in sides[side]]}
+               for side in SIDES},
+        }
+    return rows, failures, record
 
 
-def _metric_row(name: str, metric: dict[str, Any],
-                sides: dict[str, list[Run]], failures: list[str]) -> str:
-    """One end-to-end metric: medians, pairs won, change, bound, verdict."""
+def _metric_entry(metric: dict[str, Any],
+                  sides: dict[str, list[Run]]) -> dict[str, Any]:
+    """One end-to-end metric: runs, medians, pairs won, change, verdict."""
     key = metric["name"]
+    values = {side: [run.metrics.get(key) for run in sides[side]]
+              for side in SIDES}
     medians: dict[str, float | None] = {}
     for side in SIDES:
-        values = [run.metrics[key] for run in sides[side]
-                  if key in run.metrics]
-        medians[side] = statistics.median(values) if values else None
-    base, head = medians["base"], medians["head"]
-    bound = float(metric["bound"])
-    label = f"{key} ({metric['unit']})"
-    pairs = [(b.metrics[key], h.metrics[key])
-             for b, h in zip(sides["base"], sides["head"])
-             if key in b.metrics and key in h.metrics]
+        present = [value for value in values[side] if value is not None]
+        medians[side] = statistics.median(present) if present else None
+    pairs = [(b, h) for b, h in zip(values["base"], values["head"])
+             if b is not None and h is not None]
     higher = metric["better"] == "higher"
-    won = sum(h > b if higher else h < b for b, h in pairs)
-    won_cell = f"{won}/{len(pairs)}"
-    if base is None or head is None:
-        return _row(name, label, _num(base), _num(head), won_cell, "-",
-                    f"{bound:.0%}", "-")
-    change = relative_change(base, head)
-    worse = change < -bound if higher else change > bound
-    if worse:
+    bound = float(metric["bound"])
+    change: float | None = None
+    verdict = "-"
+    base, head = medians["base"], medians["head"]
+    if base is not None and head is not None:
+        change = relative_change(base, head)
+        worse = change < -bound if higher else change > bound
+        verdict = "WORSE" if worse else "ok"
+    return {
+        "unit": metric["unit"], "better": metric["better"], "bound": bound,
+        "base": values["base"], "head": values["head"],
+        "base_median": base, "head_median": head,
+        "head_won": sum(h > b if higher else h < b for b, h in pairs),
+        "pairs": len(pairs), "change": change, "verdict": verdict,
+    }
+
+
+def _metric_row(name: str, key: str, entry: dict[str, Any],
+                failures: list[str]) -> str:
+    """One end-to-end metric's table row; a WORSE verdict fails."""
+    base, head = entry["base_median"], entry["head_median"]
+    change, bound = entry["change"], entry["bound"]
+    if entry["verdict"] == "WORSE":
         failures.append(f"{name}: {key} head median {head:.6g} is "
                         f"{abs(change):.1%} worse than base {base:.6g} "
                         f"(bound {bound:.0%})")
-    return _row(name, label, _num(base), _num(head), won_cell,
-                f"{change:+.1%}", f"{bound:.0%}", "WORSE" if worse else "ok")
+    return _row(name, f"{key} ({entry['unit']})", _num(base), _num(head),
+                f"{entry['head_won']}/{entry['pairs']}",
+                "-" if change is None else f"{change:+.1%}",
+                f"{bound:.0%}", entry["verdict"])
 
 
 def _session_rows(name: str, sides: dict[str, list[Run]],
@@ -257,23 +290,41 @@ def main(argv: list[str] | None = None) -> int:
                     "and fail when the head is worse than a bound.")
     parser.add_argument("base", type=Path, help="checkout of the base commit")
     parser.add_argument("head", type=Path, help="checkout under test")
+    parser.add_argument("--pairs", type=int, default=PAIRS, metavar="N",
+                        help=f"pairs of runs per workload (default {PAIRS})")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the table and the raw runs "
+                             "to PATH as JSON")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     try:
         config = same_benchmark(checkouts["base"], checkouts["head"])
-        runs = run_pairs(checkouts, config)
+        runs = run_pairs(checkouts, config, args.pairs)
     except BadInput as exc:
         print(f"bench-pair: {exc}", file=sys.stderr)
         return 2
-    rows, failures = compare(config, runs)
+    rows, failures, record = compare(config, runs)
+    table = [_row("workload", "metric", "base median", "head median",
+                  "head won", "change", "bound", "verdict"),
+             "|---|---|---:|---:|---:|---:|---:|---|", *rows]
     print(f"## Benchmark pairs: {checkouts['base']} (base) vs "
           f"{checkouts['head']} (head)\n\n"
-          f"{PAIRS} pairs per workload, seed {SEED}, "
+          f"{args.pairs} pairs per workload, seed {SEED}, "
           f"{config['run_seconds']} s per run, {os.cpu_count()} CPUs.\n")
-    print(_row("workload", "metric", "base median", "head median",
-               "head won", "change", "bound", "verdict"))
-    print("|---|---|---:|---:|---:|---:|---:|---|")
-    print("\n".join(rows))
+    print("\n".join(table))
+    if args.json is not None:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        args.json.write_text(json.dumps({
+            "base": str(args.base), "head": str(args.head),
+            "pairs": args.pairs, "seed": SEED,
+            "run_seconds": config["run_seconds"],
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "table": table, "workloads": record, "failures": failures,
+            "verdict": "FAIL" if failures else "OK",
+        }, indent=2) + "\n", encoding="utf-8")
     if failures:
         print("\n**bench-pair: FAIL**\n")
         print("\n".join(f"- {reason}" for reason in failures))
